@@ -3,7 +3,7 @@
 
 ``examples/prediction_service.py`` made one serving stack affordable
 online; this example runs a *fleet* of them behind the consistent-hash
-router (:mod:`repro.service.shard`) and walks the four claims of the
+router (:mod:`repro.service.shard`) and walks the three claims of the
 sharded design:
 
 1. **locality** — a quantized operating point always routes to the same
@@ -13,17 +13,14 @@ sharded design:
 3. **chaos** — kill a shard: its keys walk clockwise to the survivor,
    the health board ejects it after ``failure_threshold`` errors, and
    after the recovery window a probe re-closes the breaker and the
-   shard returns with its L1 intact;
-4. **virtual-time scaling** — a modelled fleet of two million
-   closed-loop clients (an explicit cost model on a fake clock, the
-   regime ``BENCH_serving.json`` publishes) shows warm throughput
-   scaling with shard count until the serial router binds.
+   shard returns with its L1 intact.
 
 Run:  python examples/sharded_service.py
 
 Processes: pass ``--processes`` to host each shard in its own worker
-process (the GIL-escape topology) for stages 1-3; virtual-time scaling
-always uses the deterministic inline backend.
+process (the GIL-escape topology).  The tier's wall-clock cost (router
+overhead, L1/L2 hit ratios, end-to-end latency) is measured by the
+``perfbench`` ``serve`` workload: ``python3 perfbench/run.py``.
 """
 
 import argparse
@@ -31,7 +28,6 @@ import sys
 
 from repro.experiments.scenario import build_predictors
 from repro.servers import APP_SERV_S
-from repro.service import CostModel, FleetConfig, FleetLoadGenerator
 from repro.service.breaker import BreakerConfig
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.shard import (
@@ -73,7 +69,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--processes",
         action="store_true",
-        help="host each shard in its own worker process for stages 1-3",
+        help="host each shard in its own worker process",
     )
     args = parser.parse_args(argv)
 
@@ -122,23 +118,7 @@ def main(argv=None) -> int:
         report = cluster.health_report()
         print(f"  per-shard served: {report['served']}")
 
-    print("\n-- 4: virtual-time scaling (the BENCH_serving.json regime) ----")
-    print(f"  cost model: {CostModel().to_jsonable()}")
-    for n_shards in (1, 2, 4, 8):
-        sweep_clock = FakeClock()
-        sweep_cluster, _ = build_inline_cluster(n_shards, historical, sweep_clock)
-        config = FleetConfig(users=2_000_000, requests=2_000, seed=2004)
-        generator = FleetLoadGenerator(
-            sweep_cluster, config, on_request=lambda _n, _ok: sweep_clock.advance(0.05)
-        )
-        with sweep_cluster:
-            generator.run()  # cold pass warms every L1
-            warm = generator.run()
-        print(
-            f"  {n_shards} shard(s): warm {warm.throughput_rps:>9.0f} rps "
-            f"(bottleneck: {warm.bottleneck})"
-        )
-    print("\nDone. Full sweep + chaos report: "
+    print("\nDone. Full chaos report: "
           "python -m repro.experiments.sharded_serving --fast")
     return 0
 

@@ -1,37 +1,27 @@
-"""The sharded-serving experiment: throughput scaling and shard chaos.
+"""The sharded-serving experiment: shard chaos on a deterministic cluster.
 
 Section 8.5 of the paper argues prediction *delay* decides what a
 resource manager can afford online; ``repro.experiments.serving``
 showed one service changing that arithmetic.  This experiment scales
 the service sideways — a consistent-hash ring of full serving stacks
-(:mod:`repro.service.shard`) under a modelled closed-loop fleet of
-**millions** of clients — and publishes the repo's serving baseline,
-``BENCH_serving.json``:
+(:mod:`repro.service.shard`) — and checks that the ring survives losing
+a shard: a :class:`~repro.faults.plan.FaultPlan` takes one of two
+shards down for a fake-clock window mid-run, and the report documents
+ejection (the victim's breaker opens and the ring routes around it),
+rebalance (the survivor absorbs the victim's keys) and recovery (the
+breaker re-closes after the window and the victim serves again, L1
+intact).
 
-* a **shard sweep** (1/2/4/8 shards): cold-cache and warm-cache
-  virtual-time throughput with p50/p95/p99, the binding bottleneck per
-  point (busiest shard vs. the serial router vs. the closed-loop think
-  bound), and the warm speedup over one shard — the CI gate asserts
-  ≥2x at 4 shards;
-* a **shard-chaos phase** (2 shards): a :class:`~repro.faults.plan.FaultPlan`
-  takes one shard down for a fake-clock window mid-run, and the report
-  documents ejection (the victim's breaker opens and the ring routes
-  around it), rebalance (the survivor absorbs the victim's keys) and
-  recovery (the breaker re-closes after the window and the victim
-  serves again, L1 intact).
-
-Determinism: requests are drawn from one seeded stream, every stack
+Determinism: requests are drawn from one seeded stream and every stack
 runs on a shared :class:`~repro.util.clock.FakeClock` advanced one tick
-per request, and *time is virtual* — charged per routing outcome from
-an explicit, published :class:`~repro.service.loadgen.CostModel`
-(``mode: "virtual-time"`` in the artifact; see DESIGN.md "Why a
-virtual-time serving benchmark").  Two runs produce byte-identical
-JSON; the CI ``sharded-serving`` job diffs them.
+per request, so two runs produce byte-identical JSON; the CI
+``sharded-serving`` job diffs them.  Serving *performance* is measured
+in wall clock elsewhere: the ``perfbench`` ``serve`` workload drives
+the same router over real worker processes.
 
 Run directly::
 
     python -m repro.experiments.sharded_serving --fast --json report.json
-    python -m repro.experiments.sharded_serving --bench BENCH_serving.json
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from repro.experiments.scenario import SEED, ExperimentResult, build_predictors
 from repro.faults import FaultKind, FaultPlan, FaultSpec, INJECTOR
 from repro.servers.catalogue import APP_SERV_S
 from repro.service.breaker import BreakerConfig
-from repro.service.loadgen import CostModel, FleetConfig, FleetLoadGenerator
+from repro.service.loadgen import LoadGenConfig, _draw_request
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.shard import (
     InlineShardBackend,
@@ -56,47 +46,31 @@ from repro.service.shard import (
 from repro.service.shard.health import HealthConfig
 from repro.util.clock import FakeClock
 from repro.util.floats import quantize_to_tick
-from repro.util.tables import format_kv, format_table
+from repro.util.rng import spawn_rng
+from repro.util.tables import format_kv
 
 __all__ = [
     "TICK_S",
-    "SHARD_COUNTS",
     "shard_fault_plan",
     "build_cluster",
-    "run_sweep",
     "run_chaos",
     "run",
     "main",
 ]
 
-#: Fake-clock seconds advanced after every fleet request — the
+#: Fake-clock seconds advanced after every chaos request — the
 #: experiment's unit of time; fault windows and breaker timings below
 #: are expressed in these ticks.
 TICK_S = 0.05
 
-#: The published sweep points (shard counts).
-SHARD_COUNTS = (1, 2, 4, 8)
-
-
-def _fleet_config(requests: int) -> FleetConfig:
-    """The canonical fleet: 2M modelled users over the paper's scenario.
-
-    Think time and population are chosen so the closed-loop bound
-    (``requests * think / users``) sits *below* the warm-path busy
-    times — the sweep then measures the serving stack, not the fleet's
-    appetite — while still being reported per point so a think-bound
-    configuration is visible, not silent.
-    """
-    return FleetConfig(
-        users=2_000_000,
-        requests=requests,
-        think_time_s=2.0,
-        servers=(APP_SERV_S.name,),
-        client_range=(100, 1100),
-        operation_weights=(("mrt", 0.8), ("throughput", 0.2)),
-        seed=SEED,
-        cost_model=CostModel(),
-    )
+#: The chaos request stream: the paper's scenario on one server, drawn
+#: from ``spawn_rng(SEED, "fleet")``.  Its weights sum to one, so they
+#: are the draw probabilities as given.
+_CHAOS_STREAM = LoadGenConfig(
+    servers=(APP_SERV_S.name,),
+    client_range=(100, 1100),
+    operation_weights=(("mrt", 0.8), ("throughput", 0.2)),
+)
 
 
 def build_cluster(
@@ -138,38 +112,6 @@ def build_cluster(
     )
 
 
-def run_sweep(requests: int, shard_counts: tuple[int, ...], primary) -> dict[str, Any]:
-    """Cold + warm fleet runs per shard count; returns the sweep table.
-
-    "Cold" is the first pass over the seeded stream (caches empty),
-    "warm" an identical second pass (every key resident in L1).  The
-    same stream hits every shard count, so the only variable is the
-    ring.
-    """
-    sweep: dict[str, Any] = {}
-    for n_shards in shard_counts:
-        clock = FakeClock()
-        config = _fleet_config(requests)
-        with build_cluster(n_shards, primary, clock=clock) as cluster:
-            generator = FleetLoadGenerator(
-                cluster, config, on_request=lambda _n, _ok: clock.advance(TICK_S)
-            )
-            cold = generator.run()
-            warm = generator.run()
-            sweep[str(n_shards)] = {
-                "cold": cold.to_jsonable(),
-                "warm": warm.to_jsonable(),
-                "per_shard_served": cluster.per_shard_served(),
-            }
-    baseline = sweep[str(shard_counts[0])]["warm"]["throughput_rps"]
-    for n_shards in shard_counts:
-        point = sweep[str(n_shards)]
-        point["warm_speedup_vs_1"] = (
-            point["warm"]["throughput_rps"] / baseline if baseline > 0 else 0.0
-        )
-    return sweep
-
-
 def shard_fault_plan(
     victim: str, fault_window_s: tuple[float, float], *, seed: int
 ) -> FaultPlan:
@@ -204,40 +146,45 @@ def shard_fault_plan(
 
 
 def run_chaos(requests: int, primary) -> dict[str, Any]:
-    """One 2-shard fleet run with a mid-run shard outage; the recovery report.
+    """One 2-shard run with a mid-run shard outage; the recovery report.
 
-    The fault window covers the middle half of the run.  Per-shard
-    served counts are snapshotted at both window boundaries (via the
-    per-request hook, so one seeded run yields before/during/after
-    deltas), and the victim's breaker transition log provides the
-    ejection and recovery timestamps.
+    The fault window covers the middle half of the run.  Requests are
+    issued one at a time, the fake clock advancing one tick after each;
+    per-shard served counts are snapshotted at both window boundaries
+    (so one seeded run yields before/during/after deltas), and the
+    victim's breaker transition log provides the ejection and recovery
+    timestamps.  A request that raises counts as an error.
     """
     victim = "s0"
     window = (0.25 * requests * TICK_S, 0.75 * requests * TICK_S)
     plan = shard_fault_plan(victim, window, seed=SEED)
     clock = FakeClock()
+    rng = spawn_rng(SEED, "fleet")
+    ops, probs = zip(*_CHAOS_STREAM.operation_weights)
+    outcomes: dict[str, int] = {}
     marks: dict[str, dict[str, int]] = {}
     with build_cluster(2, primary, clock=clock) as cluster:
-
-        def on_request(completed: int, _ok: bool) -> None:
-            clock.advance(TICK_S)
-            if completed == int(0.25 * requests):
-                marks["window_open"] = cluster.per_shard_served()
-            elif completed == int(0.75 * requests):
-                marks["window_close"] = cluster.per_shard_served()
-
-        generator = FleetLoadGenerator(
-            cluster, _fleet_config(requests), on_request=on_request
-        )
         INJECTOR.arm(plan, clock=clock, sleep=clock.advance)
         try:
-            report = generator.run()
+            for completed in range(1, requests + 1):
+                op, server, operand, buy = _draw_request(_CHAOS_STREAM, rng, ops, probs)
+                try:
+                    outcome = cluster.serve_info(op, server, operand, buy).outcome
+                except Exception:
+                    outcome = "error"
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+                clock.advance(TICK_S)
+                if completed == int(0.25 * requests):
+                    marks["window_open"] = cluster.per_shard_served()
+                elif completed == int(0.75 * requests):
+                    marks["window_close"] = cluster.per_shard_served()
         finally:
             injected = INJECTOR.disarm()
         final = cluster.per_shard_served()
         transitions = cluster.health.breaker(victim).transitions()
         health = cluster.health_report()
 
+    errors = outcomes.get("error", 0)
     survivor = "s1"
     during = {
         shard: marks["window_close"][shard] - marks["window_open"][shard]
@@ -261,9 +208,9 @@ def run_chaos(requests: int, primary) -> dict[str, Any]:
         "survivor": survivor,
         "fault_window_s": [quantize_to_tick(t, TICK_S) for t in window],
         "requests": requests,
-        "errors": report.errors,
+        "errors": errors,
         "error_rate_ceiling": plan.error_rate_ceiling,
-        "within_ceiling": report.errors <= plan.error_rate_ceiling * requests,
+        "within_ceiling": errors <= plan.error_rate_ceiling * requests,
         "served_during_window": dict(sorted(during.items())),
         "served_after_window": dict(sorted(after.items())),
         "rebalanced": during[survivor] > during[victim],
@@ -281,56 +228,14 @@ def run_chaos(requests: int, primary) -> dict[str, Any]:
                 else None
             ),
         },
-        "outcomes": dict(sorted(report.outcomes.items())),
+        "outcomes": dict(sorted(outcomes.items())),
     }
 
 
-def run(fast: bool = False, shard_counts: tuple[int, ...] = SHARD_COUNTS) -> ExperimentResult:
-    """Run the shard sweep and the chaos phase; render + return both."""
+def run(fast: bool = False) -> ExperimentResult:
+    """Run the shard-chaos phase over the historical predictor; render it."""
     historical, _lqn, _hybrid, _ = build_predictors(fast=fast)
-    requests = 2_000 if fast else 8_000
-    sweep = run_sweep(requests, shard_counts, historical)
-    chaos = run_chaos(max(400, requests // 4), historical)
-
-    config = _fleet_config(requests)
-    data = {
-        "mode": "virtual-time",
-        "seed": SEED,
-        "tick_s": TICK_S,
-        "requests": requests,
-        "fleet": {
-            "users": config.users,
-            "think_time_s": config.think_time_s,
-            "servers": list(config.servers),
-            "client_range": list(config.client_range),
-        },
-        "cost_model": config.cost_model.to_jsonable(),
-        "shard_counts": list(shard_counts),
-        "sweep": sweep,
-        "chaos": chaos,
-    }
-
-    rows = []
-    for n_shards in shard_counts:
-        point = sweep[str(n_shards)]
-        rows.append(
-            (
-                n_shards,
-                f"{point['cold']['throughput_rps']:.0f}",
-                f"{point['warm']['throughput_rps']:.0f}",
-                f"{point['warm_speedup_vs_1']:.2f}x",
-                f"{point['warm']['latency']['p99_s'] * 1e6:.0f}",
-                point["warm"]["bottleneck"],
-            )
-        )
-    sweep_table = format_table(
-        ["shards", "cold rps", "warm rps", "warm speedup", "warm p99 (µs)", "bottleneck"],
-        rows,
-        title=(
-            f"Virtual-time serving sweep ({config.users:,} modelled users, "
-            f"{requests} requests, seed {SEED})"
-        ),
-    )
+    chaos = run_chaos(500 if fast else 2_000, historical)
     breaker = chaos["breaker"]
     chaos_summary = format_kv(
         {
@@ -358,47 +263,34 @@ def run(fast: bool = False, shard_counts: tuple[int, ...] = SHARD_COUNTS) -> Exp
     )
     return ExperimentResult(
         experiment_id="sharded_serving",
-        title="Sharded serving: virtual-time scaling sweep and shard chaos",
-        rendered=sweep_table + "\n\n" + chaos_summary,
-        data=data,
+        title="Sharded serving: shard chaos",
+        rendered=chaos_summary,
+        data={"seed": SEED, "tick_s": TICK_S, "chaos": chaos},
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the experiment, optionally dump artifacts.
+    """CLI entry point: run the experiment, optionally dump the report.
 
     ``--json PATH`` writes the full report as canonically sorted JSON
-    (the CI job runs this twice and byte-diffs the files); ``--bench
-    PATH`` writes the published benchmark baseline (same content, same
-    canonical encoding — committed as ``BENCH_serving.json``);
-    ``--shards`` limits the sweep points.
+    (the CI job runs this twice and byte-diffs the files).
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.sharded_serving",
-        description="Run the sharded-serving scaling sweep and shard chaos.",
+        description="Run the sharded-serving shard-chaos phase.",
     )
     parser.add_argument("--fast", action="store_true", help="fast, smaller profile")
     parser.add_argument(
         "--json", metavar="PATH", help="write the full report as sorted JSON"
     )
-    parser.add_argument(
-        "--bench", metavar="PATH", help="write the benchmark baseline JSON"
-    )
-    parser.add_argument(
-        "--shards",
-        default=",".join(str(n) for n in SHARD_COUNTS),
-        help="comma-separated shard counts to sweep (default: 1,2,4,8)",
-    )
     args = parser.parse_args(argv)
-    shard_counts = tuple(int(part) for part in args.shards.split(",") if part)
-    result = run(fast=args.fast, shard_counts=shard_counts)
+    result = run(fast=args.fast)
     print(result.rendered)
-    for path in (args.json, args.bench):
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(result.data, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            print(f"report written to {path}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(result.data, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        print(f"report written to {args.json}")
     return 0
 
 

@@ -22,8 +22,7 @@ service that changes that arithmetic:
   composing all of the above behind the ``Predictor`` protocol, with
   graceful degradation to a registered fast fallback predictor;
 * :mod:`repro.service.loadgen` — closed-loop load generation: a
-  multi-threaded wall-clock generator and a deterministic virtual-time
-  fleet driver scaling to millions of modelled users;
+  multi-threaded wall-clock generator;
 * :mod:`repro.service.shard` — sharded serving: N service stacks
   (inline or one per worker process) behind a consistent-hash router,
   with a cross-shard L2 cache, per-shard breaker-driven health/ejection
@@ -46,15 +45,7 @@ from repro.service.breaker import (
     CircuitOpenError,
 )
 from repro.service.cache import CacheKey, CacheStats, PredictionCache, quantize_key
-from repro.service.loadgen import (
-    CostModel,
-    FleetConfig,
-    FleetLoadGenerator,
-    FleetReport,
-    LoadGenConfig,
-    LoadGenerator,
-    LoadReport,
-)
+from repro.service.loadgen import LoadGenConfig, LoadGenerator, LoadReport
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -97,8 +88,4 @@ __all__ = [
     "LoadGenerator",
     "LoadGenConfig",
     "LoadReport",
-    "CostModel",
-    "FleetConfig",
-    "FleetLoadGenerator",
-    "FleetReport",
 ]

@@ -7,8 +7,7 @@ The router speaks one small protocol — ``request``/``ping``/
   :class:`~repro.service.service.PredictionService` instance in *this*
   process.  This is the deterministic path: driven single-threaded on a
   :class:`~repro.util.clock.FakeClock` it is byte-reproducible, which
-  is what the sharded chaos experiment and the CI determinism gate run,
-  and it is also the fixture for the virtual-time serving benchmark.
+  is what the sharded chaos experiment and the CI determinism gate run.
 * :class:`~repro.service.shard.worker.ProcessShardBackend`: one worker
   *process* per shard (the GIL-escape topology), same protocol over
   pipes.

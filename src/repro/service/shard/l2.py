@@ -21,8 +21,11 @@ bounds are the right coherence contract for idempotent predictions.
 
 The store itself is pluggable: a plain ``dict`` for the in-process
 backend (guarded by a ``threading.Lock``) or a
-``multiprocessing.Manager().dict()`` plus manager lock for the
-multi-process backend.  Hit/miss accounting is kept *locally* per
+``multiprocessing.Manager().dict()`` for the multi-process backend.
+Across processes no lock is shared — each store operation is atomic in
+the manager, and deletions tolerate a key another accessor already
+removed — so a worker that dies mid-operation cannot leave the L2
+locked for the survivors.  Hit/miss accounting is kept *locally* per
 accessor (each shard counts its own L2 traffic) so the shared store
 carries values only, never contended counters.
 """
@@ -65,8 +68,10 @@ class SharedL2Cache:
     * ``store`` maps :class:`~repro.service.cache.CacheKey` to
       ``(value, stored_at_s)`` tuples and may be shared by many
       accessors (threads or processes);
-    * ``lock`` guards compound read-modify-write sequences on the store
-      and must be shared by every accessor of the same store;
+    * ``lock`` guards compound read-modify-write sequences among the
+      accessors that share it; accessors in other processes do not, and
+      a race with them costs at most a refreshed entry (one extra miss),
+      never a wrong value;
     * ``clock`` supplies ``stored_at`` timestamps and ages, injectable
       so TTL behaviour is exactly testable (and deterministic under the
       sharded chaos experiment's :class:`~repro.util.clock.FakeClock`).
@@ -128,9 +133,10 @@ class SharedL2Cache:
                 value, stored_at = entry
                 if self._ttl_s is not None and now - stored_at > self._ttl_s:
                     # Delete exactly what we read; a concurrent refresh
-                    # stored a different tuple and survives.
+                    # under the same lock stored a different tuple and
+                    # survives.
                     if self._store.get(key) == entry:
-                        del self._store[key]
+                        self._store.pop(key, None)
                     expired = True
                     entry = None
         with self._stats_lock:
@@ -157,8 +163,8 @@ class SharedL2Cache:
                     self._store.items(), key=lambda kv: (kv[1][1], repr(kv[0]))
                 )[:overflow]
                 for doomed_key, _ in doomed:
-                    del self._store[doomed_key]
-                    evicted += 1
+                    if self._store.pop(doomed_key, None) is not None:
+                        evicted += 1
         with self._stats_lock:
             self._stats.puts += 1
             self._stats.evictions += evicted
@@ -175,11 +181,10 @@ class SharedL2Cache:
                 doomed = list(self._store.keys())
             else:
                 doomed = [k for k in self._store.keys() if k.server == server]
-            for key in doomed:
-                del self._store[key]
+            dropped = sum(self._store.pop(key, None) is not None for key in doomed)
         with self._stats_lock:
-            self._stats.invalidated += len(doomed)
-        return len(doomed)
+            self._stats.invalidated += dropped
+        return dropped
 
     def stats(self) -> L2Stats:
         """A consistent snapshot of this accessor's traffic counters."""

@@ -3,7 +3,7 @@
 :class:`ShardedPredictionService` is to a fleet of
 :class:`~repro.service.service.PredictionService` stacks what the
 service is to a raw predictor — it satisfies the same
-``Predictor`` protocol, so a resource manager, the load generators and
+``Predictor`` protocol, so a resource manager, the load generator and
 every experiment written against a single service run on the sharded
 cluster unchanged.  Per request it:
 
@@ -143,9 +143,10 @@ class ShardedPredictionService:
     ) -> ServeInfo:
         """Route and serve one request, reporting how it was served.
 
-        The load generators use the routing story (shard, outcome,
-        reroutes) for per-shard accounting; plain Predictor-protocol
-        callers go through the three methods above and never see it.
+        The chaos experiment and the serving benchmark use the routing
+        story (shard, outcome, reroutes) for per-shard accounting; plain
+        Predictor-protocol callers go through the three methods above
+        and never see it.
         """
         require(op in OPERATIONS, f"unknown operation {op!r}")
         start = self._clock.perf_s()

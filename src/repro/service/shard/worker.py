@@ -3,7 +3,11 @@
 This is the topology the ROADMAP's open item asks for — N full serving
 stacks, each in its own interpreter (its own GIL), behind the
 consistent-hash router.  The protocol is deliberately tiny and typed as
-plain tuples over a :func:`multiprocessing.Pipe`:
+plain tuples over a :func:`multiprocessing.Pipe`.  Every message starts
+with a per-shard sequence number that the worker echoes at the head of
+its reply (left out of the table below); the parent drops any reply
+whose number is not the one it is waiting for, so the late answer to a
+request that timed out can never be read as the answer to a later one:
 
 ========================  =================================================
 parent sends              worker answers
@@ -23,6 +27,8 @@ lives in a :class:`multiprocessing.managers.SyncManager` dict shared by
 every worker; each worker wraps the proxy in its own
 :class:`~repro.service.shard.l2.SharedL2Cache` accessor (values are
 shared, traffic counters stay local and are shipped inside snapshots).
+No lock is shared across workers: each dict operation is atomic in the
+manager, and a lock held by a killed worker would never be released.
 
 Tracing: with ``ShardSpec(trace=True)`` each worker records its spans
 into a :class:`~repro.trace.RingBufferSink`; the parent drains them and
@@ -50,6 +56,7 @@ from repro.service.shard.backend import (
 )
 from repro.service.shard.l2 import SharedL2Cache
 from repro.trace import TRACER, RingBufferSink
+from repro.util.clock import SYSTEM_CLOCK
 from repro.util.validation import require
 
 __all__ = ["ShardSpec", "resolve_factory", "ProcessShardBackend"]
@@ -90,13 +97,32 @@ def resolve_factory(reference: str):
     return factory
 
 
-def _worker_main(
-    spec: ShardSpec,
-    shard_id: str,
-    conn,
-    l2_store,
-    l2_lock,
-) -> None:
+def _answer(service, sink: RingBufferSink | None, verb: str, args: list) -> tuple:
+    """The worker's reply to one protocol message (without its sequence number)."""
+    if verb == "ping":
+        return ("pong",)
+    if verb == "snapshot":
+        return ("ok", service.snapshot().to_jsonable())
+    if verb == "drain_trace":
+        events = []
+        if sink is not None:
+            events = [event.to_dict() for event in sink.events()]
+            sink.clear()
+        return ("ok", events)
+    if verb == "request":
+        op, server, operand, buy_fraction = args
+        try:
+            before = InlineShardBackend._cache_counters(service)
+            method = getattr(service, OPERATIONS[op])
+            value = float(method(server, operand, buy_fraction=buy_fraction))
+            outcome = _classify(before, InlineShardBackend._cache_counters(service))
+        except Exception as error:  # ship, don't crash the worker
+            return ("error", type(error).__name__, str(error))
+        return ("ok", value, outcome)
+    return ("error", "ProtocolError", f"unknown verb {verb!r}")
+
+
+def _worker_main(spec: ShardSpec, shard_id: str, conn, l2_store) -> None:
     """The worker process body: build the stack, answer the protocol."""
     sink: RingBufferSink | None = None
     if spec.trace:
@@ -108,42 +134,14 @@ def _worker_main(
             ttl_s=spec.l2_ttl_s,
             max_entries=spec.l2_max_entries,
             store=l2_store,
-            lock=l2_lock,
         )
     try:
         while True:
-            message = conn.recv()
-            verb = message[0]
+            seq, verb, *args = conn.recv()
             if verb == "stop":
-                conn.send(("ok",))
+                conn.send((seq, "ok"))
                 return
-            if verb == "ping":
-                conn.send(("pong",))
-                continue
-            if verb == "snapshot":
-                conn.send(("ok", service.snapshot().to_jsonable()))
-                continue
-            if verb == "drain_trace":
-                events = []
-                if sink is not None:
-                    events = [event.to_dict() for event in sink.events()]
-                    sink.clear()
-                conn.send(("ok", events))
-                continue
-            if verb == "request":
-                _, op, server, operand, buy_fraction = message
-                try:
-                    before = InlineShardBackend._cache_counters(service)
-                    method = getattr(service, OPERATIONS[op])
-                    value = float(method(server, operand, buy_fraction=buy_fraction))
-                    outcome = _classify(
-                        before, InlineShardBackend._cache_counters(service)
-                    )
-                    conn.send(("ok", value, outcome))
-                except Exception as error:  # ship, don't crash the worker
-                    conn.send(("error", type(error).__name__, str(error)))
-                continue
-            conn.send(("error", "ProtocolError", f"unknown verb {verb!r}"))
+            conn.send((seq, *_answer(service, sink, verb, args)))
     except (EOFError, KeyboardInterrupt):  # parent went away
         pass
     finally:
@@ -183,22 +181,23 @@ class ProcessShardBackend:
         chosen = start_method or ("fork" if "fork" in methods else "spawn")
         self._ctx = multiprocessing.get_context(chosen)
         self._manager = self._ctx.Manager() if l2 else None
-        # The parent MUST hold these proxies for the backend's lifetime:
+        # The parent MUST hold this proxy for the backend's lifetime:
         # under the fork start method children inherit the parent's proxy
         # without incref'ing the manager-side referent, so dropping the
         # parent reference would let the manager delete the shared dict
-        # out from under every worker.
+        # out from under every worker.  There is deliberately no manager
+        # lock beside it: a worker killed while holding one would leave
+        # it held forever and stall every survivor's L2 access.
         self._l2_store = self._manager.dict() if self._manager is not None else None
-        self._l2_lock = self._manager.Lock() if self._manager is not None else None
-        l2_store, l2_lock = self._l2_store, self._l2_lock
         self._conns: dict[str, Any] = {}
         self._procs: dict[str, Any] = {}
         self._locks: dict[str, threading.Lock] = {}
+        self._seq: dict[str, int] = {}
         for shard in self._ids:
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(spec, shard, child_conn, l2_store, l2_lock),
+                args=(spec, shard, child_conn, self._l2_store),
                 name=f"repro-shard-{shard}",
                 daemon=True,
             )
@@ -207,6 +206,7 @@ class ProcessShardBackend:
             self._conns[shard] = parent_conn
             self._procs[shard] = process
             self._locks[shard] = threading.Lock()
+            self._seq[shard] = 0
         self._stopped = False
 
     def shard_ids(self) -> tuple[str, ...]:
@@ -214,19 +214,31 @@ class ProcessShardBackend:
         return self._ids
 
     def _roundtrip(self, shard_id: str, message: tuple, timeout_s: float) -> tuple:
-        """Send one message and await its reply (per-shard serialized)."""
+        """Send one message and await its reply (per-shard serialized).
+
+        Replies carrying an older sequence number are late answers to
+        requests that timed out; they are dropped, and the wait for
+        this message's own reply keeps its original deadline.
+        """
         process = self._procs[shard_id]
         with self._locks[shard_id]:
             if not process.is_alive():
                 raise ShardDownError(f"shard {shard_id!r}: worker process is dead")
             conn = self._conns[shard_id]
+            self._seq[shard_id] += 1
+            seq = self._seq[shard_id]
+            deadline = SYSTEM_CLOCK.monotonic_s() + timeout_s
             try:
-                conn.send(message)
-                if not conn.poll(timeout_s):
-                    raise ShardRemoteError(
-                        f"shard {shard_id!r}: no reply within {timeout_s}s"
-                    )
-                return conn.recv()
+                conn.send((seq, *message))
+                while True:
+                    remaining = deadline - SYSTEM_CLOCK.monotonic_s()
+                    if remaining <= 0.0 or not conn.poll(remaining):
+                        raise ShardRemoteError(
+                            f"shard {shard_id!r}: no reply within {timeout_s}s"
+                        )
+                    reply = conn.recv()
+                    if reply[0] == seq:
+                        return reply[1:]
             except (BrokenPipeError, EOFError, OSError) as error:
                 raise ShardDownError(
                     f"shard {shard_id!r}: connection lost ({type(error).__name__})"

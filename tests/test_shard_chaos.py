@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from repro.experiments.sharded_serving import TICK_S, run_chaos, run_sweep
+from repro.experiments.sharded_serving import TICK_S, run_chaos
 from repro.service.shard.testing import DeterministicStubPredictor
 from repro.util.floats import quantize_to_tick
 
@@ -56,7 +56,7 @@ def test_chaos_report_timestamps_sit_on_the_tick_grid() -> None:
 
     Regression: breaker timestamps used to serialize as the fake
     clock's raw tick sums (``25.200000000000223``), churning every
-    regeneration of the published ``BENCH_serving.json``.
+    regeneration of the published report.
     """
     report = _chaos_report()
     breaker = report["breaker"]
@@ -79,13 +79,3 @@ def test_quantize_to_tick_recovers_exact_tick_multiples() -> None:
     assert quantize_to_tick(75.09999999999788 - 25.200000000000223, 0.05) == 49.9
     assert quantize_to_tick(25.2, 0.05) == 25.2  # idempotent on clean values
 
-
-def test_sweep_is_deterministic_and_scales_warm_throughput() -> None:
-    """A small sweep byte-matches across runs and shows warm scaling."""
-    stub = DeterministicStubPredictor()
-    first = run_sweep(600, (1, 4), stub)
-    second = run_sweep(600, (1, 4), stub)
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    # The benchmark gate's property at test scale: 4 warm shards beat 1.
-    assert first["4"]["warm_speedup_vs_1"] >= 2.0
-    assert first["1"]["warm"]["outcomes"] == {"l1_hit": 600}

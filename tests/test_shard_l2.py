@@ -105,3 +105,37 @@ def test_refreshed_entry_restarts_its_ttl() -> None:
     clock.advance(4.0)  # 8s since first put, 4s since refresh
     hit, value = l2.get(_key(1.0))
     assert hit and value == 2.0
+
+
+class _RacedStore(dict):
+    """A store whose listings go stale at once: another process (which
+    shares the store but not the lock) deletes every listed key between
+    the listing and the deletion."""
+
+    def keys(self):
+        listed = list(super().keys())
+        self.clear()
+        return listed
+
+    def items(self):
+        listed = list(super().items())
+        self.clear()
+        return listed
+
+
+def test_deletions_tolerate_keys_another_process_removed() -> None:
+    """Eviction and invalidation skip keys already gone, without raising.
+
+    Worker processes share the L2 store but no lock, so a key listed
+    for deletion may vanish before it is deleted; only keys this
+    accessor actually removed are counted.
+    """
+    clock = FakeClock()
+    l2 = SharedL2Cache(max_entries=1, store=_RacedStore(), clock=clock.monotonic_s)
+    l2.put(_key(1.0), 1.0)
+    l2.put(_key(2.0), 2.0)  # overflow: the listed victims are already gone
+    assert l2.stats().evictions == 0
+    l2.put(_key(3.0), 3.0)
+    assert l2.invalidate() == 0
+    assert l2.invalidate("AppServS") == 0
+    assert l2.stats().invalidated == 0

@@ -20,6 +20,7 @@ from repro.service.shard import (
 from repro.service.shard.health import HealthConfig
 from repro.service.shard.testing import DeterministicStubPredictor, build_stub_service
 from repro.util.clock import FakeClock
+from repro.util.rng import spawn_rng
 
 
 def _cluster(n_shards: int, clock: FakeClock, *, l2: SharedL2Cache | None = None):
@@ -67,6 +68,20 @@ def test_routing_is_sticky_and_cache_local() -> None:
         # Same cell (sub-grid-step perturbation) routes identically too.
         nearby = cluster.serve_info("mrt", "shop", 60.4, 0.0)
         assert nearby.shard == first.shard and nearby.outcome == "l1_hit"
+    # A second pass over a seeded request stream is served entirely from
+    # L1, whether one shard holds every key or four split them.
+    rng = spawn_rng(2004, "locality")
+    stream = [
+        (("mrt", "throughput")[int(rng.integers(0, 2))], float(rng.integers(100, 1101)))
+        for _ in range(600)
+    ]
+    for n_shards in (1, 4):
+        cluster, _ = _cluster(n_shards, FakeClock())
+        with cluster:
+            for op, operand in stream:
+                cluster.serve_info(op, "shop", operand, 0.0)
+            second = [cluster.serve_info(op, "shop", operand, 0.0) for op, operand in stream]
+        assert {info.outcome for info in second} == {"l1_hit"}
 
 
 def test_failed_shard_is_ejected_keys_reroute_and_l2_promotes() -> None:
