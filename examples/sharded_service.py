@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         print(f"  per-shard served: {report['served']}")
 
     print("\nDone. Full chaos report: "
-          "python -m repro.experiments.sharded_serving --fast")
+          "python -m repro.experiments.runner sharded_serving --fast")
     return 0
 
 

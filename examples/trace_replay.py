@@ -27,7 +27,8 @@ from repro.simulation.database import DatabaseServerSim
 from repro.util.errors import ValidationError
 from repro.util.rng import RngStreams
 from repro.util.tables import format_table
-from repro.workload import browse_class, generate_trace, load_trace_csv, save_trace_csv
+from repro.workload import browse_class
+from repro.workloads import TraceReplaySource, generate_trace, load_trace_csv, save_trace_csv
 
 RATE = 120.0
 DURATION_S = 60.0
@@ -35,8 +36,6 @@ DURATION_S = 60.0
 
 def replay(trace, arch):
     """Replay a trace against one architecture; return (mean ms, p90 ms)."""
-    from repro.workload.generators import TraceReplaySource
-
     sim = Simulator()
     streams = RngStreams(11)
     database = DatabaseServerSim(sim, DB_SERVER)

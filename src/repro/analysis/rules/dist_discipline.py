@@ -19,8 +19,8 @@ So, within workload-characterization modules, this rule flags:
 * any ``<obj>.rvs(...)`` call lacking a ``random_state`` keyword.
 
 The rule patrols paths containing a ``workloads`` fragment only; the
-simulator's own distribution layer predates the convention and is
-already covered at its call sites by REPRO-RNG001.
+simulator draws its variates inline from injected generator streams,
+and REPRO-RNG001 covers those call sites.
 """
 
 from __future__ import annotations

@@ -25,16 +25,14 @@ a fixed tick per request (and absorbs injected latency via
 and retries back off by zero seconds.  Two runs with the same seed
 produce byte-identical JSON reports — the CI ``chaos`` job diffs them.
 
-Run directly for the CI-facing JSON report::
+Run through the experiment runner for the CI-facing JSON report
+(written to ``DIR/chaos.json``)::
 
-    python -m repro.experiments.chaos --fast --json report.json
+    python -m repro.experiments.runner chaos --fast --json DIR
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Any
 
 from repro.experiments.scenario import SEED, ExperimentResult, build_predictors
@@ -49,7 +47,7 @@ from repro.util.errors import ConvergenceError
 from repro.util.floats import quantize_to_tick
 from repro.util.tables import format_kv, format_table
 
-__all__ = ["TICK_S", "default_fault_plan", "run", "main"]
+__all__ = ["TICK_S", "default_fault_plan", "run"]
 
 #: Fake-clock seconds advanced after every load-generator request — the
 #: experiment's unit of time.  Fault windows and breaker timings below
@@ -254,33 +252,3 @@ def run(fast: bool = False) -> ExperimentResult:
         rendered=summary + "\n\n" + transitions_table,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the chaos experiment, optionally dump JSON.
-
-    ``--json PATH`` writes the recovery report as canonically sorted
-    JSON; the CI ``chaos`` job runs this twice and diffs the files to
-    prove the experiment is deterministic.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.chaos",
-        description="Run the fault-injection chaos experiment.",
-    )
-    parser.add_argument("--fast", action="store_true", help="fast, coarser profile")
-    parser.add_argument(
-        "--json", metavar="PATH", help="write the recovery report as sorted JSON"
-    )
-    args = parser.parse_args(argv)
-    result = run(fast=args.fast)
-    print(result.rendered)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"recovery report written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

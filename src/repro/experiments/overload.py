@@ -36,17 +36,16 @@ Everything is seeded and clocked deterministically, so two runs produce
 byte-identical JSON; the CI ``overload`` job diffs them and the golden
 test pins the fast-mode payload.
 
-Run directly for the CI-facing JSON report::
+Run through the experiment runner for the CI-facing JSON report
+(written to ``DIR/overload.json``)::
 
-    python -m repro.experiments.overload --fast --json report.json
+    python -m repro.experiments.runner overload --fast --json DIR
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro.experiments.scenario import (
@@ -68,16 +67,12 @@ from repro.service.service import PredictionService, ServiceConfig
 from repro.simulation.system import SimulatedDeployment
 from repro.util.clock import FakeClock
 from repro.util.tables import format_kv, format_table
-from repro.workload.generators import (
-    TraceEntry,
-    generate_trace,
-    load_trace_csv,
-    save_trace_csv,
-)
 from repro.workload.trade import browse_class
-from repro.workloads.etl import records_from_trace_entries
+from repro.workloads.etl import load_trace_csv, save_trace_csv
+from repro.workloads.records import RecordSet
+from repro.workloads.scenario import generate_trace
 
-__all__ = ["QUEUE_CAPACITY", "TICK_S", "admission_storm_plan", "run", "main"]
+__all__ = ["QUEUE_CAPACITY", "TICK_S", "admission_storm_plan", "run"]
 
 #: Accept-queue bound used on both sides of the comparison: the simulated
 #: thread pool's total occupancy and the layered model's application
@@ -205,12 +200,7 @@ def _trace_roundtrip(rate: float, sim_loss: float) -> dict:
     entries = generate_trace(sc, rate, 20.0, seed=SEED, n_clients=50)
     every_kth = max(2, round(1.0 / sim_loss)) if sim_loss > 0.0 else 0
     marked = [
-        TraceEntry(
-            arrival_ms=entry.arrival_ms,
-            operation=entry.operation,
-            client_id=entry.client_id,
-            dropped=every_kth > 0 and index % every_kth == every_kth - 1,
-        )
+        replace(entry, dropped=every_kth > 0 and index % every_kth == every_kth - 1)
         for index, entry in enumerate(entries)
     ]
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,7 +208,7 @@ def _trace_roundtrip(rate: float, sim_loss: float) -> dict:
         save_trace_csv(marked, path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         reloaded = load_trace_csv(path)
-    records = records_from_trace_entries(reloaded)
+    records = RecordSet(reloaded)
     observation = observations_from_record_sets([records])[0]
     return {
         "n_entries": len(marked),
@@ -411,33 +401,3 @@ def run(fast: bool = False) -> ExperimentResult:
         rendered=summary + "\n\n" + sweep_table,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the overload experiment, optionally dump JSON.
-
-    ``--json PATH`` writes the payload as canonically sorted JSON; the CI
-    ``overload`` job runs this twice and diffs the files to prove the
-    sweep, the trace round trip and the retry storm are deterministic.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.overload",
-        description="Run the finite-capacity overload experiment.",
-    )
-    parser.add_argument("--fast", action="store_true", help="fast, coarser profile")
-    parser.add_argument(
-        "--json", metavar="PATH", help="write the payload as sorted JSON"
-    )
-    args = parser.parse_args(argv)
-    result = run(fast=args.fast)
-    print(result.rendered)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"payload written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

@@ -5,16 +5,24 @@ Usage::
     python -m repro.experiments.runner --list
     python -m repro.experiments.runner table1 fig2
     python -m repro.experiments.runner all --fast
+    python -m repro.experiments.runner chaos overload --fast --json out/
+    python -m repro.experiments.runner all --fast --markdown RESULTS.md
 
 ``--fast`` uses shorter simulations and coarser sweeps (the benchmark-suite
-profile); omit it for the EXPERIMENTS.md-quality numbers.
+profile); omit it for the EXPERIMENTS.md-quality numbers.  ``--json DIR``
+writes each result's data to ``DIR/<id>.json`` as canonically sorted JSON
+(the CI determinism jobs run it twice and diff the files); ``--markdown
+PATH`` writes a Markdown digest of the run, one section per experiment,
+the mechanical companion to the hand-written EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import sys
+from pathlib import Path
 
 from repro.trace import TRACER, JsonlSink
 from repro.util.clock import SYSTEM_CLOCK
@@ -76,6 +84,14 @@ def main(argv: list[str] | None = None) -> int:
         help="write a JSONL trace of the run (summarize/export with "
         "'python -m repro.trace')",
     )
+    parser.add_argument(
+        "--json",
+        metavar="DIR",
+        help="write each experiment's data to DIR/<id>.json (sorted keys)",
+    )
+    parser.add_argument(
+        "--markdown", metavar="PATH", help="write a Markdown digest of the run"
+    )
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
@@ -83,23 +99,55 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{experiment_id:15s} {module}")
         return 0
 
+    ids = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
+    unknown = [i for i in ids if i not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment ids {unknown}; known: {sorted(EXPERIMENTS)}")
+    if args.json:
+        Path(args.json).mkdir(parents=True, exist_ok=True)
     if args.trace:
         TRACER.enable(JsonlSink(args.trace))
+    sections: list[str] = []
+    total = 0.0
     try:
-        ids = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
         for experiment_id in ids:
             start = SYSTEM_CLOCK.perf_s()
             result = run_experiment(experiment_id, fast=args.fast)
             elapsed = SYSTEM_CLOCK.perf_s() - start
+            total += elapsed
             print("=" * 78)
             print(f"{result.title}   [{experiment_id}, {elapsed:.1f}s]")
             print("=" * 78)
             print(result.rendered)
             print()
+            if args.json:
+                target = Path(args.json) / f"{experiment_id}.json"
+                target.write_text(
+                    json.dumps(result.data, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8",
+                )
+                print(f"data written to {target}")
+            sections.append(
+                f"## {result.title}\n\n"
+                f"*experiment id: `{experiment_id}`, generated in {elapsed:.1f}s*\n\n"
+                "```\n" + result.rendered + "\n```\n"
+            )
     finally:
         if args.trace:
             TRACER.disable()
             print(f"trace written to {args.trace}")
+    if args.markdown:
+        profile = "fast" if args.fast else "paper-quality"
+        header = (
+            "# Regenerated results\n\n"
+            f"Profile: **{profile}** · experiments: {len(ids)} · "
+            f"total wall time: {total:.1f}s\n\n"
+            "Produced by `python -m repro.experiments.runner --markdown`; see "
+            "EXPERIMENTS.md for the paper-versus-reproduction analysis of these "
+            "artefacts.\n"
+        )
+        Path(args.markdown).write_text(header + "\n" + "\n".join(sections))
+        print(f"digest written to {args.markdown} ({len(sections)} experiments)")
     return 0
 
 

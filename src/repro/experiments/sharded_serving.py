@@ -19,15 +19,14 @@ per request, so two runs produce byte-identical JSON; the CI
 in wall clock elsewhere: the ``perfbench`` ``serve`` workload drives
 the same router over real worker processes.
 
-Run directly::
+Run through the experiment runner (the report lands in
+``DIR/sharded_serving.json``)::
 
-    python -m repro.experiments.sharded_serving --fast --json report.json
+    python -m repro.experiments.runner sharded_serving --fast --json DIR
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from typing import Any
 
 from repro.experiments.scenario import SEED, ExperimentResult, build_predictors
@@ -55,7 +54,6 @@ __all__ = [
     "build_cluster",
     "run_chaos",
     "run",
-    "main",
 ]
 
 #: Fake-clock seconds advanced after every chaos request — the
@@ -267,32 +265,3 @@ def run(fast: bool = False) -> ExperimentResult:
         rendered=chaos_summary,
         data={"seed": SEED, "tick_s": TICK_S, "chaos": chaos},
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the experiment, optionally dump the report.
-
-    ``--json PATH`` writes the full report as canonically sorted JSON
-    (the CI job runs this twice and byte-diffs the files).
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.sharded_serving",
-        description="Run the sharded-serving shard-chaos phase.",
-    )
-    parser.add_argument("--fast", action="store_true", help="fast, smaller profile")
-    parser.add_argument(
-        "--json", metavar="PATH", help="write the full report as sorted JSON"
-    )
-    args = parser.parse_args(argv)
-    result = run(fast=args.fast)
-    print(result.rendered)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"report written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI dispatch
-    raise SystemExit(main())

@@ -23,17 +23,15 @@ Everything is seeded and clocked deterministically, so two runs produce
 byte-identical JSON; the CI ``workloads`` job diffs them and the golden
 test pins the fast-mode payload.
 
-Run directly for the CI-facing JSON report::
+Run through the experiment runner for the CI-facing JSON report
+(written to ``DIR/workloads.json``)::
 
-    python -m repro.experiments.workloads --fast --json report.json
+    python -m repro.experiments.runner workloads --fast --json DIR
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 
 from repro.experiments.scenario import SEED, ExperimentResult, build_historical_model
 from repro.prediction.interface import HistoricalPredictor
@@ -42,12 +40,12 @@ from repro.service.service import PredictionService, ServiceConfig
 from repro.util.clock import FakeClock
 from repro.util.tables import format_kv, format_table
 from repro.workloads.backends import ScenarioServiceDriver, run_scenario_simulation
-from repro.workloads.etl import records_from_trace_entries
 from repro.workloads.fitting import discriminate_tail, fit_all
+from repro.workloads.records import RecordSet
 from repro.workloads.scenario import canonical_spec, generate_entries
 from repro.workloads.validation import validate_roundtrip
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def _finite(value):
@@ -65,7 +63,7 @@ def run(fast: bool = False) -> ExperimentResult:
     """Run the characterization loop and replay both backends."""
     spec = canonical_spec(fast=fast)
     entries = generate_entries(spec, seed=SEED)  # compiled once, consumed twice
-    records = records_from_trace_entries(entries)
+    records = RecordSet(entries)
     stats = records.statistics()
 
     thinks = records.think_times_ms()
@@ -167,34 +165,3 @@ def run(fast: bool = False) -> ExperimentResult:
         rendered=summary + "\n\n" + fits_table + "\n\n" + validation_table,
         data=data,
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the workloads experiment, optionally dump JSON.
-
-    ``--json PATH`` writes the payload as canonically sorted JSON; the CI
-    ``workloads`` job runs this twice and diffs the files to prove the
-    whole loop — generation, fitting, validation, both backend replays —
-    is deterministic.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.workloads",
-        description="Run the workload-characterization experiment.",
-    )
-    parser.add_argument("--fast", action="store_true", help="fast, coarser profile")
-    parser.add_argument(
-        "--json", metavar="PATH", help="write the payload as sorted JSON"
-    )
-    args = parser.parse_args(argv)
-    result = run(fast=args.fast)
-    print(result.rendered)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"payload written to {args.json}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

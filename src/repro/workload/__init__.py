@@ -22,13 +22,6 @@ from repro.workload.service_class import (
     ScriptedSession,
     ServiceClass,
 )
-from repro.workload.generators import (
-    TraceEntry,
-    TraceReplaySource,
-    generate_trace,
-    load_trace_csv,
-    save_trace_csv,
-)
 from repro.workload.trade import (
     BROWSE_CLASS,
     BUY_CLASS,
@@ -51,9 +44,4 @@ __all__ = [
     "buy_class",
     "mixed_workload",
     "typical_workload",
-    "TraceEntry",
-    "TraceReplaySource",
-    "generate_trace",
-    "save_trace_csv",
-    "load_trace_csv",
 ]

@@ -35,6 +35,7 @@ from repro.workloads.backends import (
     ScenarioServiceDriver,
     ScenarioServiceReport,
     ScenarioSimulationSummary,
+    TraceReplaySource,
     run_scenario_simulation,
 )
 from repro.workloads.diagnostics import (
@@ -56,9 +57,10 @@ from repro.workloads.etl import (
     load_records_csv,
     load_records_jsonl,
     load_records_log,
+    load_trace_csv,
     parse_log_lines,
     records_from_events,
-    records_from_trace_entries,
+    save_trace_csv,
 )
 from repro.workloads.fitting import (
     DistributionFit,
@@ -89,6 +91,7 @@ from repro.workloads.scenario import (
     canonical_spec,
     generate_entries,
     generate_records,
+    generate_trace,
 )
 from repro.workloads.validation import (
     CheckResult,
@@ -105,7 +108,8 @@ __all__ = [
     "TraceStatistics",
     "classify_request_type",
     # ETL
-    "records_from_trace_entries",
+    "save_trace_csv",
+    "load_trace_csv",
     "load_records_csv",
     "records_from_events",
     "load_records_jsonl",
@@ -142,10 +146,12 @@ __all__ = [
     "compose_factor",
     # scenarios
     "ScenarioSpec",
+    "generate_trace",
     "generate_entries",
     "generate_records",
     "canonical_spec",
     # backends
+    "TraceReplaySource",
     "ScenarioSimulationSummary",
     "run_scenario_simulation",
     "ScenarioServiceReport",

@@ -5,8 +5,9 @@ The compilation model is single-spec/two-backends: a
 deterministic arrival trace, and both backends replay *that same trace*:
 
 * :func:`run_scenario_simulation` wires the trace into the discrete-event
-  testbed (one replay source per request type, so the simulator reports
-  per-class response times exactly as the paper's figures do);
+  testbed through :class:`TraceReplaySource` (one replay source per
+  request type, so the simulator reports per-class response times exactly
+  as the paper's figures do);
 * :class:`ScenarioServiceDriver` replays it against a
   :class:`~repro.service.service.PredictionService` as a closed-loop
   stream of prediction queries whose operating point follows the
@@ -23,28 +24,97 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.servers.architecture import DatabaseArchitecture, ServerArchitecture
 from repro.servers.catalogue import APP_SERV_F, DB_SERVER
 from repro.service.service import PredictionService
 from repro.simulation.appserver import AppServerSim
 from repro.simulation.database import DatabaseServerSim
 from repro.simulation.engine import Simulator
+from repro.simulation.events import EventPriority
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.system import DEFAULT_NETWORK_LATENCY_MS
 from repro.util.clock import SYSTEM_CLOCK, Clock
-from repro.util.rng import RngStreams
+from repro.util.rng import RngStreams, spawn_rng
 from repro.util.units import s_to_ms
 from repro.util.validation import check_non_negative, check_positive_int, require
-from repro.workload.generators import TraceEntry, TraceReplaySource
-from repro.workloads.records import classify_request_type
+from repro.workload.operations import operation
+from repro.workloads.records import RequestRecord, classify_request_type
 from repro.workloads.scenario import ScenarioSpec, generate_entries
 
 __all__ = [
+    "TraceReplaySource",
     "ScenarioSimulationSummary",
     "run_scenario_simulation",
     "ScenarioServiceReport",
     "ScenarioServiceDriver",
 ]
+
+
+class TraceReplaySource:
+    """Replays a trace into one simulated application server.
+
+    Every record is injected at its recorded arrival instant, so recorded
+    (or hand-crafted) workloads drive exactly the same machinery as the
+    synthetic client populations.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        trace: list[RequestRecord],
+        server: AppServerSim,
+        metrics: MetricsCollector,
+        *,
+        network_latency_ms: float = 0.0,
+        rng: np.random.Generator | None = None,
+        metric_class_name: str = "trace",
+    ) -> None:
+        check_non_negative(network_latency_ms, "network_latency_ms")
+        self.sim = sim
+        self.trace = trace
+        self.server = server
+        self.metrics = metrics
+        self.network_latency_ms = network_latency_ms
+        self.metric_class_name = metric_class_name
+        self._rng = rng if rng is not None else spawn_rng(0, "trace-replay")
+        self.injected = 0
+
+    def start(self) -> None:
+        """Schedule every trace record at its recorded timestamp."""
+        for record in self.trace:
+            self.sim.schedule_at(
+                record.arrival_ms,
+                lambda r=record: self._inject(r),
+                priority=EventPriority.ARRIVAL,
+            )
+
+    def _net_delay(self) -> float:
+        if self.network_latency_ms <= 0.0:
+            return 0.0
+        return float(self._rng.exponential(self.network_latency_ms))
+
+    def _inject(self, record: RequestRecord) -> None:
+        self.injected += 1
+        sent_at = self.sim.now
+        op = operation(record.operation)
+        outbound = self._net_delay()
+        self.sim.schedule(
+            outbound,
+            lambda: self.server.handle(
+                record.client_id, op, lambda: self._on_response(sent_at)
+            ),
+            priority=EventPriority.ARRIVAL,
+        )
+
+    def _on_response(self, sent_at_ms: float) -> None:
+        inbound = self._net_delay()
+        self.sim.schedule(
+            inbound,
+            lambda: self.metrics.record(self.metric_class_name, self.sim.now - sent_at_ms),
+            priority=EventPriority.ARRIVAL,
+        )
 
 
 @dataclass(frozen=True)
@@ -79,7 +149,7 @@ def run_scenario_simulation(
     arch: ServerArchitecture = APP_SERV_F,
     db_arch: DatabaseArchitecture = DB_SERVER,
     network_latency_ms: float = DEFAULT_NETWORK_LATENCY_MS,
-    entries: list[TraceEntry] | None = None,
+    entries: list[RequestRecord] | None = None,
 ) -> ScenarioSimulationSummary:
     """Replay a compiled scenario through the discrete-event testbed.
 
@@ -103,7 +173,7 @@ def run_scenario_simulation(
         sim, arch, database, streams.get(f"service:{arch.name}"), instance=arch.name
     )
 
-    by_type: dict[str, list[TraceEntry]] = {}
+    by_type: dict[str, list[RequestRecord]] = {}
     for entry in entries:
         by_type.setdefault(classify_request_type(entry.operation), []).append(entry)
     sources = [
@@ -196,7 +266,7 @@ class ScenarioServiceDriver:
         server: str,
         clock: Clock = SYSTEM_CLOCK,
         max_requests: int | None = None,
-        entries: list[TraceEntry] | None = None,
+        entries: list[RequestRecord] | None = None,
     ) -> None:
         if max_requests is not None:
             check_positive_int(max_requests, "max_requests")

@@ -22,8 +22,7 @@ from pathlib import Path
 
 from repro.util.errors import ValidationError
 from repro.util.tables import format_kv, format_table
-from repro.workload.generators import save_trace_csv
-from repro.workloads.etl import load_records_csv, load_records_jsonl
+from repro.workloads.etl import load_records_csv, load_records_jsonl, save_trace_csv
 from repro.workloads.fitting import fit_all
 from repro.workloads.diagnostics import exponentiality
 from repro.workloads.records import RecordSet

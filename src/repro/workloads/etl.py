@@ -2,9 +2,9 @@
 
 Three ingestion paths normalize into :class:`~repro.workloads.records.RecordSet`:
 
-* **CSV arrival traces** — the :mod:`repro.workload.generators` format
-  (``arrival_ms,operation,client_id``), bridging the pre-existing trace
-  machinery into the characterization pipeline;
+* **CSV arrival traces** — ``arrival_ms,operation,client_id`` (plus a
+  ``dropped`` column for traces recorded under overload), written by
+  :func:`save_trace_csv` and read back by :func:`load_trace_csv`;
 * **JSONL span logs** — the :mod:`repro.trace` sink format: every END
   event of a chosen span name becomes a request whose arrival is the
   span start and whose service time is the span duration, so the repo's
@@ -17,6 +17,7 @@ Three ingestion paths normalize into :class:`~repro.workloads.records.RecordSet`
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -25,11 +26,12 @@ from repro.trace.events import END, TraceEvent
 from repro.trace.sinks import load_events_jsonl
 from repro.util.errors import ValidationError
 from repro.util.validation import check_non_negative_int, check_positive, require
-from repro.workload.generators import TraceEntry, load_trace_csv
+from repro.workload.operations import operation
 from repro.workloads.records import RecordSet, RequestRecord
 
 __all__ = [
-    "records_from_trace_entries",
+    "save_trace_csv",
+    "load_trace_csv",
     "load_records_csv",
     "records_from_events",
     "load_records_jsonl",
@@ -38,31 +40,106 @@ __all__ = [
     "load_records_log",
 ]
 
+_TRACE_COLUMNS = ("arrival_ms", "operation", "client_id")
+# Traces recorded against a finite-capacity server carry a fourth column
+# marking requests the server shed; drop-free traces keep the 3-column
+# layout so existing files and their consumers are untouched.
+_TRACE_COLUMNS_WITH_DROPS = _TRACE_COLUMNS + ("dropped",)
 
-def records_from_trace_entries(entries: Iterable[TraceEntry]) -> RecordSet:
-    """Normalize :class:`~repro.workload.generators.TraceEntry` rows.
 
-    Arrival traces carry no service times, so think-time extraction will
-    use per-client arrival gaps (see
-    :meth:`~repro.workloads.records.RecordSet.think_times_ms`).  The
-    ``dropped`` marker (traces recorded against finite-capacity servers)
-    carries through, so ``RecordSet.loss_rate`` reflects the recorded
-    drops.
+def save_trace_csv(trace: list[RequestRecord], path: str | Path) -> Path:
+    """Write an arrival trace as CSV; returns the path.
+
+    Drop-free traces use the legacy 3-column layout byte-for-byte; a trace
+    with at least one dropped record gains the ``dropped`` column (0/1).
+    Service times are not persisted: the format records arrivals only.
     """
-    return RecordSet(
-        RequestRecord(
-            arrival_ms=entry.arrival_ms,
-            operation=entry.operation,
-            client_id=entry.client_id,
-            dropped=entry.dropped,
-        )
-        for entry in entries
-    )
+    target = Path(path)
+    with_drops = any(record.dropped for record in trace)
+    with open(target, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        if with_drops:
+            writer.writerow(_TRACE_COLUMNS_WITH_DROPS)
+            for record in trace:
+                writer.writerow(
+                    [
+                        repr(record.arrival_ms),
+                        record.operation,
+                        record.client_id,
+                        "1" if record.dropped else "0",
+                    ]
+                )
+        else:
+            writer.writerow(_TRACE_COLUMNS)
+            for record in trace:
+                writer.writerow(
+                    [repr(record.arrival_ms), record.operation, record.client_id]
+                )
+    return target
+
+
+def load_trace_csv(path: str | Path) -> list[RequestRecord]:
+    """Read a trace written by :func:`save_trace_csv` (validates columns,
+    operation names, and arrival-time ordering).
+
+    Accepts both the legacy 3-column layout and the 4-column layout with
+    the ``dropped`` marker.  Arrival traces carry no service times, so
+    think-time extraction uses per-client arrival gaps (see
+    :meth:`~repro.workloads.records.RecordSet.think_times_ms`).
+    """
+    source = Path(path)
+    if not source.exists():
+        raise ValidationError(f"no trace file at {source}")
+    records: list[RequestRecord] = []
+    with open(source, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is not None and tuple(header) == _TRACE_COLUMNS:
+            n_columns = 3
+        elif header is not None and tuple(header) == _TRACE_COLUMNS_WITH_DROPS:
+            n_columns = 4
+        else:
+            raise ValidationError(f"unexpected trace header {header!r}")
+        last = -1.0
+        for line_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_columns:
+                raise ValidationError(
+                    f"{source}:{line_number}: want {n_columns} columns"
+                )
+            try:
+                arrival = float(row[0])
+            except ValueError as exc:
+                raise ValidationError(f"{source}:{line_number}: {exc}") from exc
+            operation(row[1])  # validates the operation name
+            if arrival < last:
+                raise ValidationError(
+                    f"{source}:{line_number}: arrivals must be non-decreasing"
+                )
+            last = arrival
+            if n_columns == 4:
+                if row[3] not in ("0", "1"):
+                    raise ValidationError(
+                        f"{source}:{line_number}: dropped must be 0 or 1"
+                    )
+                dropped = row[3] == "1"
+            else:
+                dropped = False
+            records.append(
+                RequestRecord(
+                    arrival_ms=arrival,
+                    operation=row[1],
+                    client_id=row[2],
+                    dropped=dropped,
+                )
+            )
+    return records
 
 
 def load_records_csv(path: str | Path) -> RecordSet:
-    """Ingest a CSV trace written by :func:`~repro.workload.generators.save_trace_csv`."""
-    return records_from_trace_entries(load_trace_csv(path))
+    """Ingest a CSV trace written by :func:`save_trace_csv`."""
+    return RecordSet(load_trace_csv(path))
 
 
 def records_from_events(

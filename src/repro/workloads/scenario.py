@@ -1,4 +1,4 @@
-"""Declarative workload scenarios and the trace generator that compiles them.
+"""Declarative workload scenarios and the trace generators that compile them.
 
 A :class:`ScenarioSpec` is the single source of truth for one workload:
 a client population, a think-time distribution (fitted or parametric),
@@ -6,7 +6,7 @@ time-varying load modulators, and a request-mix schedule.  Compiling a
 spec (:func:`generate_entries` / :func:`generate_records`) produces one
 deterministic arrival trace, and *both* execution backends replay that
 same trace — the simulator through
-:class:`~repro.workload.generators.TraceReplaySource`, the prediction
+:class:`~repro.workloads.backends.TraceReplaySource`, the prediction
 service through :class:`~repro.workloads.backends.ScenarioServiceDriver`
 — so a capacity question gets asked of the simulated testbed and of the
 serving layer with byte-identical inputs.
@@ -21,6 +21,10 @@ and flash crowds raise the offered rate without touching the fitted
 distribution.  All entropy flows through per-client
 :func:`~repro.util.rng.spawn_rng` streams (common random numbers: adding
 a client never perturbs the others' timelines).
+
+:func:`generate_trace` is the single-class open-workload analogue: a
+Poisson request trace drawn from one service class's behaviour (the
+analogue of a JMeter script).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from repro.util.errors import ValidationError
 from repro.util.rng import spawn_rng
 from repro.util.validation import check_positive, check_positive_int, require
-from repro.workload.generators import TraceEntry
+from repro.workload.service_class import ServiceClass
 from repro.workload.trade import BROWSE_CLASS, BUY_CLASS, BUY_SESSION_LENGTH
 from repro.workloads.dists import DistributionSpec, lognormal_spec
 from repro.workloads.modulators import (
@@ -49,6 +53,7 @@ from repro.workloads.records import RecordSet, RequestRecord
 
 __all__ = [
     "ScenarioSpec",
+    "generate_trace",
     "generate_entries",
     "generate_records",
     "canonical_spec",
@@ -142,7 +147,47 @@ def _stagger_window_ms(spec: ScenarioSpec) -> float:
     return min(max(typical, 1.0), spec.duration_s * 1000.0)
 
 
-def generate_entries(spec: ScenarioSpec, *, seed: int) -> list[TraceEntry]:
+def generate_trace(
+    service_class: ServiceClass,
+    rate_req_per_s: float,
+    duration_s: float,
+    *,
+    seed: int = 0,
+    n_clients: int = 100,
+) -> list[RequestRecord]:
+    """A Poisson request trace drawn from a service class's behaviour.
+
+    Requests arrive at mean rate ``rate_req_per_s``; each is attributed to
+    one of ``n_clients`` synthetic client identities (round-robin over the
+    class's session script for scripted classes).
+    """
+    check_positive(rate_req_per_s, "rate_req_per_s")
+    check_positive(duration_s, "duration_s")
+    check_positive_int(n_clients, "n_clients")
+    rng = spawn_rng(seed, f"trace:{service_class.name}")
+    mean_gap = 1000.0 / rate_req_per_s
+    records: list[RequestRecord] = []
+    positions = [0] * n_clients
+    t = 0.0
+    end = duration_s * 1000.0
+    while True:
+        t += float(rng.exponential(mean_gap))
+        if t >= end:
+            break
+        client = int(rng.integers(0, n_clients))
+        op = service_class.behaviour.next_operation(rng, positions[client])
+        positions[client] += 1
+        records.append(
+            RequestRecord(
+                arrival_ms=t,
+                operation=op.name,
+                client_id=f"{service_class.name}:{client}",
+            )
+        )
+    return records
+
+
+def generate_entries(spec: ScenarioSpec, *, seed: int) -> list[RequestRecord]:
     """Compile ``spec`` to a deterministic arrival trace.
 
     Each client runs closed-loop sessions (buy script or browse mix as
@@ -151,7 +196,7 @@ def generate_entries(spec: ScenarioSpec, *, seed: int) -> list[TraceEntry]:
     backends replay.
     """
     end_ms = spec.duration_s * 1000.0
-    entries: list[TraceEntry] = []
+    entries: list[RequestRecord] = []
     browse_behaviour = BROWSE_CLASS.behaviour
     buy_behaviour = BUY_CLASS.behaviour
     for index in range(spec.n_clients):
@@ -166,7 +211,7 @@ def generate_entries(spec: ScenarioSpec, *, seed: int) -> list[TraceEntry]:
                     break
                 op = behaviour.next_operation(rng, position)
                 entries.append(
-                    TraceEntry(arrival_ms=t_ms, operation=op.name, client_id=client_id)
+                    RequestRecord(arrival_ms=t_ms, operation=op.name, client_id=client_id)
                 )
                 think_ms = float(spec.think_time.sample(rng, 1)[0])
                 t_ms += max(think_ms, 1e-9) / spec.factor(t_ms / 1000.0)
@@ -178,12 +223,7 @@ def generate_records(spec: ScenarioSpec, *, seed: int) -> RecordSet:
     """Compile ``spec`` and ingest the result as a record set."""
     entries = generate_entries(spec, seed=seed)
     require(len(entries) > 0, "scenario generated no requests; raise duration or clients")
-    return RecordSet(
-        RequestRecord(
-            arrival_ms=e.arrival_ms, operation=e.operation, client_id=e.client_id
-        )
-        for e in entries
-    )
+    return RecordSet(entries)
 
 
 def canonical_spec(*, fast: bool = False) -> ScenarioSpec:

@@ -456,13 +456,13 @@ class TestDistDiscipline:
         assert found == []
 
     def test_out_of_scope_paths_are_exempt(self):
-        """The simulator's distribution layer is REPRO-RNG001's beat."""
+        """Simulator code is REPRO-RNG001's beat."""
         found = findings_for(
             "dist-discipline",
             """
             def sample(self):
                 return self._draw()
             """,
-            path="src/repro/simulation/distributions.py",
+            path="src/repro/simulation/clients.py",
         )
         assert found == []

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments.chaos import TICK_S, default_fault_plan, main, run
+from repro.experiments.chaos import TICK_S, default_fault_plan, run
+from repro.experiments.runner import main
 from repro.faults import INJECTOR
 
 
@@ -75,8 +76,8 @@ def test_chaos_registered_in_experiment_runner():
 
 
 def test_chaos_cli_writes_sorted_json(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["--fast", "--json", str(out)]) == 0
+    assert main(["chaos", "--fast", "--json", str(tmp_path)]) == 0
+    out = tmp_path / "chaos.json"
     data = json.loads(out.read_text())
     assert data["within_ceiling"] is True
     assert out.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -89,22 +89,39 @@ def test_runner_unknown_experiment():
 
 
 def test_report_generator(tmp_path):
-    from repro.experiments.report import generate_report, main
+    import json
 
-    report, timings = generate_report(fast=True, experiment_ids=["table2"])
-    assert "Regenerated results" in report
-    assert "table2" in report and "```" in report
-    assert set(timings) == {"table2"}
+    from repro.experiments.runner import main
 
-    out = tmp_path / "digest.md"
-    assert main([str(out), "--only", "table2"]) == 0
-    assert out.exists() and "table2" in out.read_text()
+    digest = tmp_path / "digest.md"
+    assert main(["table2", "--fast", "--markdown", str(digest), "--json", str(tmp_path)]) == 0
+    report = digest.read_text()
+    assert "Regenerated results" in report and "Profile: **fast**" in report
+    assert "experiment id: `table2`" in report and "```" in report
+
+    out = tmp_path / "table2.json"
+    data = json.loads(out.read_text())
+    assert "rows" in data
+    assert out.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def test_report_unknown_id_rejected():
+def test_report_unknown_id_rejected(tmp_path):
     import pytest
 
-    from repro.experiments.report import generate_report
+    from repro.experiments.runner import main
 
-    with pytest.raises(KeyError):
-        generate_report(experiment_ids=["fig99"])
+    digest = tmp_path / "digest.md"
+    with pytest.raises(SystemExit):
+        main(["table2", "fig99", "--markdown", str(digest)])
+    assert not digest.exists()
+
+
+def test_runner_unknown_id_with_json_writes_nothing(tmp_path):
+    import pytest
+
+    from repro.experiments.runner import main
+
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        main(["table2", "fig99", "--fast", "--json", str(out_dir)])
+    assert not out_dir.exists()

@@ -9,14 +9,14 @@ from repro.simulation.engine import Simulator
 from repro.simulation.metrics import MetricsCollector
 from repro.util.errors import ValidationError
 from repro.util.rng import RngStreams
-from repro.workload.generators import (
-    TraceEntry,
+from repro.workload.trade import browse_class, buy_class
+from repro.workloads import (
+    RequestRecord,
     TraceReplaySource,
     generate_trace,
     load_trace_csv,
     save_trace_csv,
 )
-from repro.workload.trade import browse_class, buy_class
 
 
 class TestGenerateTrace:
@@ -51,7 +51,12 @@ class TestGenerateTrace:
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValidationError):
-            TraceEntry(arrival_ms=-1.0, operation="quote", client_id="x")
+            RequestRecord(arrival_ms=-1.0, operation="quote", client_id="x")
+
+    @pytest.mark.parametrize("n_clients", [2.5, True])
+    def test_client_count_must_be_a_positive_int(self, n_clients):
+        with pytest.raises(ValidationError, match="n_clients"):
+            generate_trace(browse_class(), 50.0, 5.0, seed=1, n_clients=n_clients)
 
 
 class TestTraceCsv:

@@ -5,7 +5,6 @@ import pytest
 from repro.trace.events import BEGIN, END, TraceEvent
 from repro.trace.sinks import JsonlSink
 from repro.util.errors import ValidationError
-from repro.workload.generators import generate_trace, save_trace_csv
 from repro.workload.trade import BROWSE_CLASS
 from repro.workloads.etl import (
     LogFormat,
@@ -14,8 +13,10 @@ from repro.workloads.etl import (
     load_records_log,
     parse_log_lines,
     records_from_events,
-    records_from_trace_entries,
+    save_trace_csv,
 )
+from repro.workloads.records import RecordSet
+from repro.workloads.scenario import generate_trace
 
 
 class TestCsvBridge:
@@ -25,7 +26,7 @@ class TestCsvBridge:
         path = tmp_path / "trace.csv"
         save_trace_csv(trace, path)
 
-        direct = records_from_trace_entries(trace)
+        direct = RecordSet(trace)
         loaded = load_records_csv(path)
 
         assert len(loaded) == len(direct) == len(trace)
@@ -35,7 +36,7 @@ class TestCsvBridge:
 
     def test_arrival_traces_carry_no_service_times(self):
         trace = generate_trace(BROWSE_CLASS, 5.0, 10.0, seed=1, n_clients=4)
-        records = records_from_trace_entries(trace)
+        records = RecordSet(trace)
         assert all(r.service_ms is None for r in records)
 
 
