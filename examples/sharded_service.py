@@ -28,22 +28,23 @@ import sys
 
 from repro.experiments.scenario import build_predictors
 from repro.servers import APP_SERV_S
-from repro.service.breaker import BreakerConfig
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.shard import (
     InlineShardBackend,
     ProcessShardBackend,
-    ShardConfig,
     ShardSpec,
     ShardedPredictionService,
     SharedL2Cache,
 )
-from repro.service.shard.health import HealthConfig
 from repro.util.clock import FakeClock
 
 
 def build_inline_cluster(n_shards, primary, clock):
-    """An inline cluster over ``primary`` with one shared L2."""
+    """An inline cluster over ``primary`` with one shared L2.
+
+    Each shard's breaker ejects it after three failures and probes it
+    again after five seconds (the router's default policy).
+    """
     l2 = SharedL2Cache(clock=clock.monotonic_s)
 
     def factory(shard_id):
@@ -56,12 +57,7 @@ def build_inline_cluster(n_shards, primary, clock):
         )
 
     backend = InlineShardBackend(tuple(f"s{i}" for i in range(n_shards)), factory)
-    config = ShardConfig(
-        health=HealthConfig(
-            breaker=BreakerConfig(failure_threshold=3, recovery_time_s=5.0)
-        )
-    )
-    return ShardedPredictionService(backend, config=config, clock=clock), backend
+    return ShardedPredictionService(backend, clock=clock), backend
 
 
 def main(argv=None) -> int:

@@ -138,13 +138,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"trace written to {args.trace}")
     if args.markdown:
         profile = "fast" if args.fast else "paper-quality"
+        command = " ".join(
+            ["python -m repro.experiments.runner", *args.experiments]
+            + (["--fast"] if args.fast else [])
+            + ["--markdown", args.markdown]
+        )
         header = (
             "# Regenerated results\n\n"
             f"Profile: **{profile}** · experiments: {len(ids)} · "
             f"total wall time: {total:.1f}s\n\n"
-            "Produced by `python -m repro.experiments.runner --markdown`; see "
-            "EXPERIMENTS.md for the paper-versus-reproduction analysis of these "
-            "artefacts.\n"
+            f"Produced by `{command}`; see EXPERIMENTS.md for the "
+            "paper-versus-reproduction analysis of these artefacts.\n"
         )
         Path(args.markdown).write_text(header + "\n" + "\n".join(sections))
         print(f"digest written to {args.markdown} ({len(sections)} experiments)")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.experiments.chaos import _analyse_breaker
 from repro.experiments.scenario import SEED, ExperimentResult, build_predictors
 from repro.faults import FaultKind, FaultPlan, FaultSpec, INJECTOR
 from repro.servers.catalogue import APP_SERV_S
@@ -37,12 +38,10 @@ from repro.service.loadgen import LoadGenConfig, _draw_request
 from repro.service.service import PredictionService, ServiceConfig
 from repro.service.shard import (
     InlineShardBackend,
-    ShardConfig,
     ShardDownError,
     ShardedPredictionService,
     SharedL2Cache,
 )
-from repro.service.shard.health import HealthConfig
 from repro.util.clock import FakeClock
 from repro.util.floats import quantize_to_tick
 from repro.util.rng import spawn_rng
@@ -97,14 +96,11 @@ def build_cluster(
 
     shard_ids = tuple(f"s{i}" for i in range(n_shards))
     backend = InlineShardBackend(shard_ids, factory)
-    health = HealthConfig(
-        breaker=breaker
-        if breaker is not None
-        else BreakerConfig(failure_threshold=3, recovery_time_s=10 * TICK_S)
-    )
     return ShardedPredictionService(
         backend,
-        config=ShardConfig(health=health),
+        breaker=breaker
+        if breaker is not None
+        else BreakerConfig(failure_threshold=3, recovery_time_s=10 * TICK_S),
         clock=clock,
         name=f"cluster[{n_shards}]",
     )
@@ -189,16 +185,6 @@ def run_chaos(requests: int, primary) -> dict[str, Any]:
         for shard in final
     }
     after = {shard: final[shard] - marks["window_close"][shard] for shard in final}
-    # Timestamps leave the fake clock as sums of ticks with accumulated
-    # rounding noise; snap them (and derived durations) back onto the
-    # tick grid so the published report serialises cleanly.
-    transitions = [
-        (quantize_to_tick(at_s, TICK_S), old, new) for at_s, old, new in transitions
-    ]
-    opened = [t for t in transitions if t[2] == "open"]
-    recovered = bool(opened) and bool(transitions) and transitions[-1][2] == "closed"
-    first_opened_at_s = opened[0][0] if opened else None
-    reclosed_at_s = transitions[-1][0] if recovered else None
     return {
         "plan": plan.describe(),
         "injected": injected,
@@ -214,18 +200,7 @@ def run_chaos(requests: int, primary) -> dict[str, Any]:
         "rebalanced": during[survivor] > during[victim],
         "victim_served_after_recovery": after[victim] > 0,
         "ejected_at_end": health["ejected"],
-        "breaker": {
-            "transitions": [[at_s, old, new] for at_s, old, new in transitions],
-            "opened": bool(opened),
-            "recovered": recovered,
-            "first_opened_at_s": first_opened_at_s,
-            "reclosed_at_s": reclosed_at_s,
-            "time_to_recover_s": (
-                quantize_to_tick(reclosed_at_s - first_opened_at_s, TICK_S)
-                if recovered
-                else None
-            ),
-        },
+        "breaker": _analyse_breaker(transitions, tick_s=TICK_S),
         "outcomes": dict(sorted(outcomes.items())),
     }
 

@@ -43,6 +43,7 @@ from repro.lqn.results import LqnSolution
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import ConvergenceError, ModelError
+from repro.util.search import largest_satisfying
 from repro.util.validation import check_positive, check_positive_int
 
 __all__ = ["SolverOptions", "LqnSolver", "MVA_ITERATION_SAMPLE", "WARM_START_STRIDE"]
@@ -234,20 +235,8 @@ class LqnSolver:
             result = self.solve(build_model(n))
             return result.response_ms[class_name] <= rt_goal_ms
 
-        if not meets(1):
-            return 0, evaluations
-        # Exponential expansion then binary search.
-        lo, hi = 1, 2
-        while hi <= upper_bound and meets(hi):
-            lo, hi = hi, hi * 2
-        hi = min(hi, upper_bound)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if meets(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, evaluations
+        capacity = largest_satisfying(meets, upper_bound)
+        return capacity, evaluations
 
     # -- preparation ----------------------------------------------------------
 

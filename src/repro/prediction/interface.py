@@ -27,6 +27,7 @@ from repro.lqn.builder import TradeModelParameters, build_trade_model
 from repro.lqn.solver import LqnSolver, SolverOptions
 from repro.servers.architecture import ServerArchitecture
 from repro.util.errors import CalibrationError
+from repro.util.search import largest_satisfying
 from repro.workload.trade import mixed_workload
 
 __all__ = [
@@ -262,24 +263,11 @@ class LqnPredictor:
                 )
 
             # The goal is on the workload-mean response across classes;
-            # exponential expansion then binary search, one solve per probe.
+            # one solve per search probe.
             def meets(n: int) -> bool:
                 return self.solver.solve(build(n)).mean_response_ms() <= rt_goal_ms
 
-            if not meets(1):
-                return 0
-            lo, hi = 1, 2
-            while meets(hi):
-                lo, hi = hi, hi * 2
-                if hi > 1_000_000:  # pragma: no cover - defensive
-                    break
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if meets(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
+            return largest_satisfying(meets, 1 << 20)
         finally:
             self.timer.record(time.perf_counter() - start)
 

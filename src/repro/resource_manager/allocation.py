@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.prediction.interface import Predictor
 from repro.resource_manager.sla import ClassWorkload, class_rt_factor
+from repro.util.search import largest_satisfying
 from repro.util.validation import check_positive, require
 
 __all__ = ["ManagedServer", "Allocation", "allocate"]
@@ -120,19 +121,8 @@ def _server_capacity_for(
                 return False
         return True
 
-    if not ok(1):
-        return 0, predictions
-    lo, hi = 1, 2
-    while hi <= limit and ok(hi):
-        lo, hi = hi, hi * 2
-    hi = min(hi, limit + 1)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, predictions
+    capacity = largest_satisfying(ok, limit)
+    return capacity, predictions
 
 
 def allocate(

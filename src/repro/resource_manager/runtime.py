@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.prediction.interface import Predictor
 from repro.resource_manager.allocation import Allocation, ManagedServer
 from repro.resource_manager.sla import ClassWorkload, class_rt_factor
+from repro.util.search import largest_satisfying
 from repro.util.validation import check_fraction, require
 
 __all__ = ["RuntimeOutcome", "evaluate_runtime"]
@@ -75,19 +76,7 @@ def _actual_capacity(
                 return False
         return True
 
-    if not ok(1):
-        return 0
-    lo, hi = 1, 2
-    while hi <= (1 << 20) and ok(hi):
-        lo, hi = hi, hi * 2
-    hi = min(hi, (1 << 20) + 1)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return largest_satisfying(ok, 1 << 20)
 
 
 def evaluate_runtime(

@@ -46,6 +46,11 @@ class CacheKey:
     buy_q: int
 
 
+#: Cache-grid step of the buy fraction: 1 % mix steps, the resolution at
+#: which the paper's models are meaningfully distinct.
+BUY_STEP = 0.01
+
+
 def quantize_key(
     server: str,
     kind: str,
@@ -53,23 +58,20 @@ def quantize_key(
     buy_fraction: float,
     *,
     operand_step: float = 1.0,
-    buy_step: float = 0.01,
 ) -> CacheKey:
     """Quantize one request onto the cache grid.
 
-    ``operand_step`` is the client-count (or goal) granularity and
-    ``buy_step`` the buy-fraction granularity; both default to the
-    resolutions at which the paper's models are meaningfully distinct
-    (whole clients, 1 % mix steps).  Coarser steps raise hit rates at
-    the price of answering from a neighbouring operating point.
+    ``operand_step`` is the client-count (or goal) granularity, whole
+    clients by default; the buy fraction is quantized to
+    :data:`BUY_STEP`.  A coarser operand step raises hit rates at the
+    price of answering from a neighbouring operating point.
     """
     require(operand_step > 0.0, "operand_step must be positive")
-    require(buy_step > 0.0, "buy_step must be positive")
     return CacheKey(
         server=server,
         kind=kind,
         operand_q=int(round(operand / operand_step)),
-        buy_q=int(round(buy_fraction / buy_step)),
+        buy_q=int(round(buy_fraction / BUY_STEP)),
     )
 
 

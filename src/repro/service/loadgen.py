@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.service.service import OPERATIONS
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.rng import spawn_rng
 from repro.util.validation import check_positive_int, require
@@ -35,8 +36,8 @@ class LoadGenConfig:
     servers: tuple[str, ...] = ("AppServS",)
     client_range: tuple[int, int] = (100, 1100)
     buy_fractions: tuple[float, ...] = (0.0,)
-    # Mix of operations issued, as (operation, weight) pairs over
-    # "mrt" / "throughput" / "capacity".
+    # Mix of operations issued, as (operation, weight) pairs over the
+    # keys of OPERATIONS ("mrt" / "throughput" / "capacity").
     operation_weights: tuple[tuple[str, float], ...] = (("mrt", 0.8), ("throughput", 0.2))
     capacity_goal_ms: float = 500.0
     think_time_s: float = 0.0
@@ -52,10 +53,9 @@ class LoadGenConfig:
             "client_range must be a non-empty range of positive counts",
         )
         require(len(self.operation_weights) > 0, "operation_weights must be non-empty")
-        known = {"mrt", "throughput", "capacity"}
         require(
-            all(op in known for op, _ in self.operation_weights),
-            f"operations must be among {sorted(known)}",
+            all(op in OPERATIONS for op, _ in self.operation_weights),
+            f"operations must be among {sorted(OPERATIONS)}",
         )
         require(
             all(w >= 0 for _, w in self.operation_weights)
@@ -128,12 +128,7 @@ class LoadGenerator:
         op, server, operand, buy = _draw_request(
             self.config, rng, self._ops, self._probs
         )
-        if op == "mrt":
-            self.service.predict_mrt_ms(server, operand, buy_fraction=buy)
-        elif op == "throughput":
-            self.service.predict_throughput(server, operand, buy_fraction=buy)
-        else:
-            self.service.max_clients(server, operand, buy_fraction=buy)
+        getattr(self.service, OPERATIONS[op])(server, operand, buy_fraction=buy)
 
     def _worker(
         self, index: int, barrier: threading.Barrier, done: list[int], errors: list[int]

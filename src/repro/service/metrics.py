@@ -30,6 +30,7 @@ __all__ = [
     "MetricsSnapshot",
     "bucket_quantile",
     "merge_snapshots",
+    "with_hit_rates",
 ]
 
 # Log-spaced bounds from 1 µs to 30 s: fine enough to separate a
@@ -435,6 +436,21 @@ class MetricsSnapshot:
                 for k, v in data["histograms"].items()
             },
         )
+
+
+def with_hit_rates(export: dict[str, float]) -> dict[str, float]:
+    """Add ``cache.hit_rate`` and ``l2.hit_rate`` to a flat export.
+
+    Rates are not additive, so snapshots never carry them; a flat export
+    (one service's, or a cluster's merged one) derives them from its
+    ``<tier>.hits`` and ``<tier>.requests`` counters.  A tier without
+    counters gets no rate and an idle one gets 0.  Returns ``export``.
+    """
+    for tier in ("cache", "l2"):
+        requests = export.get(f"{tier}.requests")
+        if requests is not None:
+            export[f"{tier}.hit_rate"] = export[f"{tier}.hits"] / requests if requests else 0.0
+    return export
 
 
 def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:

@@ -91,13 +91,16 @@ class CoalescingPool:
                 INJECTOR.fire("service.pool")
             return fn()
 
+        # The in-flight entry is a placeholder future published under the
+        # lock, so two racing callers for one key agree on who starts the
+        # work; the executor submission happens after the lock is released.
         with self._lock:
             self._stats.submitted += 1
             existing = self._inflight.get(key)
             if existing is not None:
                 self._stats.coalesced += 1
                 return existing, False
-            future = self._executor.submit(_run)
+            future: Future = Future()
             self._inflight[key] = future
 
         def _forget(done: Future, *, key: Hashable = key) -> None:
@@ -106,6 +109,24 @@ class CoalescingPool:
                     del self._inflight[key]
 
         future.add_done_callback(_forget)
+
+        def _complete() -> None:
+            if not future.set_running_or_notify_cancel():
+                return
+            try:
+                result = _run()
+            except BaseException as error:
+                future.set_exception(error)
+            else:
+                future.set_result(result)
+
+        try:
+            self._executor.submit(_complete)
+        except BaseException as error:
+            # A shut-down pool refuses the work: fail the placeholder so
+            # joiners do not wait forever (and _forget drops the entry).
+            future.set_exception(error)
+            raise
         return future, True
 
     def inflight_count(self) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextvars
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.prediction.interface import PredictionTimer, Predictor
 from repro.service.admission import (
@@ -47,13 +47,22 @@ from repro.service.breaker import (
     CircuitBreaker,
     CircuitOpenError,
 )
-from repro.service.cache import PredictionCache, quantize_key
-from repro.service.metrics import MetricsRegistry, MetricsSnapshot
+from repro.service.cache import CacheKey, PredictionCache, quantize_key
+from repro.service.metrics import MetricsRegistry, MetricsSnapshot, with_hit_rates
 from repro.service.pool import CoalescingPool
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
+from repro.util.validation import require
 
-__all__ = ["ServiceConfig", "PredictionService"]
+__all__ = ["OPERATIONS", "ServiceConfig", "PredictionService"]
+
+#: The three Predictor-protocol operations the serving tier answers,
+#: mapped to the method that answers each.
+OPERATIONS: dict[str, str] = {
+    "mrt": "predict_mrt_ms",
+    "throughput": "predict_throughput",
+    "capacity": "max_clients",
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,6 @@ class ServiceConfig:
     cache_entries: int = 4096
     cache_ttl_s: float | None = None
     operand_step: float = 1.0  # cache-grid step for client counts / RT goals
-    buy_step: float = 0.01  # cache-grid step for the buy fraction
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     # None = no circuit breaker (every request tries the primary).
     breaker: BreakerConfig | None = None
@@ -149,31 +157,13 @@ class PredictionService:
         self, server: str, n_clients: float, *, buy_fraction: float = 0.0
     ) -> float:
         """Predicted mean response time (ms), served with caching."""
-        return self._serve(
-            "mrt",
-            server,
-            n_clients,
-            buy_fraction,
-            lambda: self.primary.predict_mrt_ms(
-                server, n_clients, buy_fraction=buy_fraction
-            ),
-            lambda p: p.predict_mrt_ms(server, n_clients, buy_fraction=buy_fraction),
-        )
+        return self.serve("mrt", server, n_clients, buy_fraction)[0]
 
     def predict_throughput(
         self, server: str, n_clients: float, *, buy_fraction: float = 0.0
     ) -> float:
         """Predicted throughput (req/s), served with caching."""
-        return self._serve(
-            "throughput",
-            server,
-            n_clients,
-            buy_fraction,
-            lambda: self.primary.predict_throughput(
-                server, n_clients, buy_fraction=buy_fraction
-            ),
-            lambda p: p.predict_throughput(server, n_clients, buy_fraction=buy_fraction),
-        )
+        return self.serve("throughput", server, n_clients, buy_fraction)[0]
 
     def max_clients(
         self, server: str, rt_goal_ms: float, *, buy_fraction: float = 0.0
@@ -184,16 +174,7 @@ class PredictionService:
         queries — the layered method's most expensive operation, one
         solve per search probe — collapse to one search per grid cell.
         """
-        return self._serve(
-            "capacity",
-            server,
-            rt_goal_ms,
-            buy_fraction,
-            lambda: self.primary.max_clients(
-                server, rt_goal_ms, buy_fraction=buy_fraction
-            ),
-            lambda p: p.max_clients(server, rt_goal_ms, buy_fraction=buy_fraction),
-        )
+        return self.serve("capacity", server, rt_goal_ms, buy_fraction)[0]
 
     def clients_at_max(self, server: str) -> float:
         """Max-throughput load, delegated to whichever side can answer.
@@ -238,51 +219,17 @@ class PredictionService:
         self.shutdown()
 
     def export_metrics(self) -> dict[str, float]:
-        """One flat dict of every service metric, cache and pool stat."""
-        out = self.metrics.export()
-        cache = self.cache.stats()
-        out.update(
-            {
-                "cache.requests": cache.requests,
-                "cache.hits": cache.hits,
-                "cache.misses": cache.misses,
-                "cache.evictions": cache.evictions,
-                "cache.expirations": cache.expirations,
-                "cache.invalidated": cache.invalidated,
-                "cache.hit_rate": cache.hit_rate,
-            }
-        )
-        pool = self.pool.stats()
-        out.update(
-            {
-                "pool.submitted": pool.submitted,
-                "pool.coalesced": pool.coalesced,
-                "pool.executed": pool.executed,
-                "admission.admitted": self.admission.admitted_total,
-                "admission.rejected": self.admission.rejected_total,
-                "admission.pending": self.admission.pending,
-            }
-        )
-        if self.l2 is not None:
-            l2 = self.l2.stats()
-            out.update(
-                {
-                    "l2.requests": l2.requests,
-                    "l2.hits": l2.hits,
-                    "l2.misses": l2.misses,
-                    "l2.expirations": l2.expirations,
-                    "l2.puts": l2.puts,
-                    "l2.hit_rate": l2.hit_rate,
-                }
-            )
+        """One flat dict of every service metric, cache and pool stat.
+
+        The :meth:`snapshot` export plus what a snapshot leaves out by
+        design: the hit rates and, with a breaker, its state, health and
+        rejection count.
+        """
+        out = with_hit_rates(self.snapshot().export())
         if self.breaker is not None:
-            out.update(
-                {
-                    "breaker.state": self.breaker.state_level,
-                    "breaker.health": self.breaker.health_score,
-                    "breaker.rejected": self.breaker.rejected_total,
-                }
-            )
+            out["breaker.state"] = self.breaker.state_level
+            out["breaker.health"] = self.breaker.health_score
+            out["breaker.rejected"] = self.breaker.rejected_total
         return out
 
     def snapshot(self) -> MetricsSnapshot:
@@ -354,11 +301,8 @@ class PredictionService:
         )
 
     def _degrade(
-        self,
-        reason: str,
-        fallback_call: Callable[[Predictor], float],
-        error: Exception,
-    ) -> float:
+        self, reason: str, ask: Callable[[Predictor], Any], error: Exception
+    ) -> Any:
         """Answer from the fallback predictor (or re-raise ``error``)."""
         self.metrics.counter(f"degraded.{reason}").inc()
         self.metrics.counter("degraded").inc()
@@ -368,36 +312,39 @@ class PredictionService:
         if self.fallback is None:
             raise error
         with TRACER.span("service.fallback_call", reason=reason):
-            return fallback_call(self.fallback)
+            return ask(self.fallback)
 
-    def _serve(
-        self,
-        kind: str,
-        server: str,
-        operand: float,
-        buy_fraction: float,
-        compute: Callable[[], float],
-        fallback_call: Callable[[Predictor], float],
-    ) -> float:
-        """The common serving path: cache → admission → pool → degrade."""
+    def serve(
+        self, op: str, server: str, operand: float, buy_fraction: float = 0.0
+    ) -> tuple[Any, str]:
+        """Serve one operation: cache → admission → pool → degrade.
+
+        ``op`` is a key of :data:`OPERATIONS`.  Returns ``(value,
+        outcome)``, where ``outcome`` names the tier that answered:
+        ``"l1_hit"``, ``"l2_hit"``, or ``"computed"`` for every answer
+        that got past both caches, fallback answers included.  The
+        request span's ``outcome`` attribute keeps the finer story (which
+        degradation, or a preflight rejection).
+        """
+        require(op in OPERATIONS, f"unknown operation {op!r}")
+        method = OPERATIONS[op]
+
+        def ask(predictor: Predictor) -> Any:
+            return getattr(predictor, method)(server, operand, buy_fraction=buy_fraction)
+
         start = self._clock.perf_s()
         latency = self.metrics.histogram("latency")
         self.metrics.counter("requests").inc()
         key = quantize_key(
-            server,
-            kind,
-            operand,
-            buy_fraction,
-            operand_step=self.config.operand_step,
-            buy_step=self.config.buy_step,
+            server, op, operand, buy_fraction, operand_step=self.config.operand_step
         )
-        with TRACER.span("service.request", kind=kind, server=server) as span:
+        with TRACER.span("service.request", kind=op, server=server) as span:
             try:
                 hit, value = self.cache.get(key)
                 TRACER.instant("service.cache", hit=hit)
                 if hit:
                     span.set_attribute("outcome", "cache_hit")
-                    return value
+                    return value, "l1_hit"
 
                 if self.l2 is not None:
                     l2_hit, l2_value = self.l2.get(key)
@@ -408,11 +355,11 @@ class PredictionService:
                         self.cache.put(key, l2_value)
                         self.metrics.counter("l2.promotions").inc()
                         span.set_attribute("outcome", "l2_hit")
-                        return l2_value
+                        return l2_value, "l2_hit"
 
                 if self.preflight is not None:
                     try:
-                        self.preflight(kind, server, operand, buy_fraction)
+                        self.preflight(op, server, operand, buy_fraction)
                     except Exception:
                         self.metrics.counter("preflight.rejected").inc()
                         span.set_attribute("outcome", "preflight_rejected")
@@ -423,109 +370,114 @@ class PredictionService:
                     span.set_attribute("outcome", "degraded.saturated")
                     return self._degrade(
                         "saturated",
-                        fallback_call,
+                        ask,
                         ServiceSaturatedError(
                             f"{self.name}: admission queue full "
                             f"({self.config.admission.max_pending} pending) and no "
                             f"fallback predictor is registered"
                         ),
-                    )
+                    ), "computed"
                 TRACER.instant("service.admission", admitted=True)
                 try:
-                    # Breaker check sits after the cache lookup and
-                    # admission, so hits and preflight rejections never
-                    # charge it.
-                    if self.breaker is not None and not self.breaker.allow():
-                        TRACER.instant("service.breaker", allowed=False)
-                        span.set_attribute("outcome", "degraded.breaker_open")
-                        return self._degrade(
-                            "breaker_open",
-                            fallback_call,
-                            CircuitOpenError(
-                                f"{self.name}: circuit breaker is "
-                                f"{self.breaker.state.value} and no fallback "
-                                f"predictor is registered"
-                            ),
-                        )
-
-                    def _task() -> float:
-                        with TRACER.span("service.execute", kind=kind, server=server):
-                            result = call_with_retries(
-                                compute,
-                                self.config.admission,
-                                on_retry=lambda _e: self.metrics.counter(
-                                    "retries"
-                                ).inc(),
-                            )
-                            self.cache.put(key, result)
-                            if self.l2 is not None:
-                                self.l2.put(key, result)
-                            return result
-
-                    # Capture the submitting request's context so the pool
-                    # thread's execute span nests under this request span.
-                    # Coalesced followers attach to the submitter's tree.
-                    if TRACER.enabled:
-                        ctx = contextvars.copy_context()
-                        runner: Callable[[], float] = lambda: ctx.run(_task)
-                    else:
-                        runner = _task
-                    recorder = self.breaker
-                    # False until exactly one record_*/cancel call has
-                    # settled the allow() above; the finally below covers
-                    # every path that skips the explicit outcomes (a
-                    # non-transient exception out of future.result, a
-                    # failed submission), so HALF_OPEN probe slots cannot
-                    # leak.
-                    recorded = recorder is None
-                    try:
-                        future, started = self.pool.submit_or_join(key, runner)
-                        # The breaker is charged exactly once per primary
-                        # *execution*: only the request that started the
-                        # work reports an outcome.  A coalesced join
-                        # piggybacks on work it did not start (possibly
-                        # begun before the circuit even opened), so it
-                        # hands any HALF_OPEN probe slot back and records
-                        # nothing.
-                        if recorder is not None and not started:
-                            recorded = True
-                            recorder.cancel()
-                            recorder = None
-                        result = future.result(timeout=self.config.admission.timeout_s)
-                        if recorder is not None:
-                            recorded = True
-                            recorder.record_success()
-                        span.set_attribute("outcome", "computed")
-                        return result
-                    except FutureTimeoutError:
-                        if recorder is not None:
-                            recorded = True
-                            recorder.record_failure()
-                        self.metrics.counter("timeouts").inc()
-                        span.set_attribute("outcome", "degraded.timeout")
-                        return self._degrade(
-                            "timeout",
-                            fallback_call,
-                            PredictionTimeoutError(
-                                f"{self.name}: {kind} prediction for {server!r} missed "
-                                f"its {self.config.admission.timeout_s}s deadline and "
-                                f"no fallback predictor is registered"
-                            ),
-                        )
-                    except TRANSIENT_ERRORS as error:  # survived the retries
-                        if recorder is not None:
-                            recorded = True
-                            recorder.record_failure()
-                        self.metrics.counter("errors").inc()
-                        span.set_attribute("outcome", "degraded.error")
-                        return self._degrade("error", fallback_call, error)
-                    finally:
-                        if not recorded:
-                            recorder.record_failure()
+                    return self._compute(key, op, server, ask, span), "computed"
                 finally:
                     self.admission.exit()
             finally:
                 elapsed = self._clock.perf_s() - start
                 latency.observe(elapsed)
-                self.metrics.histogram(f"latency.{kind}").observe(elapsed)
+                self.metrics.histogram(f"latency.{op}").observe(elapsed)
                 self.timer.record(elapsed)
+
+    def _compute(
+        self,
+        key: CacheKey,
+        op: str,
+        server: str,
+        ask: Callable[[Predictor], Any],
+        span: Any,
+    ) -> Any:
+        """An admitted miss: breaker → pool (with retries) → degrade."""
+        # The breaker check sits after the cache lookup and admission, so
+        # hits and preflight rejections never charge it.
+        if self.breaker is not None and not self.breaker.allow():
+            TRACER.instant("service.breaker", allowed=False)
+            span.set_attribute("outcome", "degraded.breaker_open")
+            return self._degrade(
+                "breaker_open",
+                ask,
+                CircuitOpenError(
+                    f"{self.name}: circuit breaker is "
+                    f"{self.breaker.state.value} and no fallback "
+                    f"predictor is registered"
+                ),
+            )
+
+        def _task() -> Any:
+            with TRACER.span("service.execute", kind=op, server=server):
+                result = call_with_retries(
+                    lambda: ask(self.primary),
+                    self.config.admission,
+                    on_retry=lambda _e: self.metrics.counter("retries").inc(),
+                )
+                self.cache.put(key, result)
+                if self.l2 is not None:
+                    self.l2.put(key, result)
+                return result
+
+        # Capture the submitting request's context so the pool thread's
+        # execute span nests under this request span.  Coalesced
+        # followers attach to the submitter's tree.
+        if TRACER.enabled:
+            ctx = contextvars.copy_context()
+            runner: Callable[[], Any] = lambda: ctx.run(_task)
+        else:
+            runner = _task
+        recorder = self.breaker
+        # False until exactly one record_*/cancel call has settled the
+        # allow() above; the finally below covers every path that skips
+        # the explicit outcomes (a non-transient exception out of
+        # future.result, a failed submission), so HALF_OPEN probe slots
+        # cannot leak.
+        recorded = recorder is None
+        try:
+            future, started = self.pool.submit_or_join(key, runner)
+            # The breaker is charged exactly once per primary *execution*:
+            # only the request that started the work reports an outcome.
+            # A coalesced join piggybacks on work it did not start
+            # (possibly begun before the circuit even opened), so it hands
+            # any HALF_OPEN probe slot back and records nothing.
+            if recorder is not None and not started:
+                recorded = True
+                recorder.cancel()
+                recorder = None
+            result = future.result(timeout=self.config.admission.timeout_s)
+            if recorder is not None:
+                recorded = True
+                recorder.record_success()
+            span.set_attribute("outcome", "computed")
+            return result
+        except FutureTimeoutError:
+            if recorder is not None:
+                recorded = True
+                recorder.record_failure()
+            self.metrics.counter("timeouts").inc()
+            span.set_attribute("outcome", "degraded.timeout")
+            return self._degrade(
+                "timeout",
+                ask,
+                PredictionTimeoutError(
+                    f"{self.name}: {op} prediction for {server!r} missed "
+                    f"its {self.config.admission.timeout_s}s deadline and "
+                    f"no fallback predictor is registered"
+                ),
+            )
+        except TRANSIENT_ERRORS as error:  # survived the retries
+            if recorder is not None:
+                recorded = True
+                recorder.record_failure()
+            self.metrics.counter("errors").inc()
+            span.set_attribute("outcome", "degraded.error")
+            return self._degrade("error", ask, error)
+        finally:
+            if not recorded:
+                recorder.record_failure()

@@ -15,6 +15,15 @@ breakers ejects sick shards from the ring and probes them back in; and
 :func:`~repro.service.metrics.merge_snapshots` folds every shard's
 metrics into one cluster snapshot with exact merged percentiles.
 
+The router's one option is the per-shard breaker policy
+(``breaker=BreakerConfig(...)``); the ring's virtual-node count, the
+cache grid and the retry budget (every live shard) are fixed.  Request
+failures and failed ``poll_health`` pings feed the breakers; there is
+no heartbeat-age check.  Each answer's outcome (``"l1_hit"``,
+``"l2_hit"`` or ``"computed"``) is the shard service's own report from
+:meth:`~repro.service.service.PredictionService.serve`, exact under
+concurrent load on either backend.
+
 Quickstart (inline, deterministic)::
 
     from repro.service.shard import (
@@ -39,7 +48,7 @@ from repro.service.shard.backend import (
     ShardError,
     ShardRemoteError,
 )
-from repro.service.shard.health import HealthBoard, HealthConfig
+from repro.service.shard.health import HealthBoard
 from repro.service.shard.l2 import L2Stats, SharedL2Cache
 from repro.service.shard.ring import (
     ConsistentHashRing,
@@ -49,7 +58,6 @@ from repro.service.shard.ring import (
 from repro.service.shard.router import (
     ServeInfo,
     ShardClusterError,
-    ShardConfig,
     ShardedPredictionService,
 )
 from repro.service.shard.worker import ProcessShardBackend, ShardSpec
@@ -69,8 +77,6 @@ __all__ = [
     "SharedL2Cache",
     "L2Stats",
     "HealthBoard",
-    "HealthConfig",
-    "ShardConfig",
     "ServeInfo",
     "ShardClusterError",
     "ShardedPredictionService",

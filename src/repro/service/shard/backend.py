@@ -27,7 +27,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 from repro.faults.injector import INJECTOR
 from repro.service.metrics import MetricsSnapshot
-from repro.service.service import PredictionService
+from repro.service.service import OPERATIONS, PredictionService
 from repro.util.errors import ReproError
 from repro.util.validation import require
 
@@ -59,15 +59,6 @@ class ShardRemoteError(ShardError):
     """The shard answered, but with a failure of its own serving stack."""
 
 
-#: The three Predictor-protocol operations a shard serves, mapped to the
-#: PredictionService method that answers each.
-OPERATIONS: dict[str, str] = {
-    "mrt": "predict_mrt_ms",
-    "throughput": "predict_throughput",
-    "capacity": "max_clients",
-}
-
-
 @runtime_checkable
 class ShardBackend(Protocol):
     """What the router needs from any shard execution substrate."""
@@ -81,10 +72,10 @@ class ShardBackend(Protocol):
     ) -> tuple[float, str]:
         """Serve one operation on one shard; returns ``(value, outcome)``.
 
-        ``outcome`` classifies how the shard answered (``"l1_hit"``,
-        ``"l2_hit"``, ``"computed"``, or ``"remote"`` when the backend
-        cannot see inside the shard).  Raises a :class:`ShardError`
-        subclass when the *shard* failed.
+        ``outcome`` is the shard service's own report of how it answered
+        (``"l1_hit"``, ``"l2_hit"`` or ``"computed"``, see
+        :meth:`~repro.service.service.PredictionService.serve`).  Raises
+        a :class:`ShardError` subclass when the *shard* failed.
         """
         ...
 
@@ -99,20 +90,6 @@ class ShardBackend(Protocol):
     def stop(self) -> None:
         """Shut every shard down (idempotent)."""
         ...
-
-
-def _classify(before: dict[str, int], after: dict[str, int]) -> str:
-    """Classify one served request from cache-counter deltas.
-
-    Exact when requests to one shard are serialized (the deterministic
-    driver's regime); under concurrent wall-clock load the attribution
-    is approximate and only used for reporting, never correctness.
-    """
-    if after["l1_hits"] > before["l1_hits"]:
-        return "l1_hit"
-    if after["l2_hits"] > before["l2_hits"]:
-        return "l2_hit"
-    return "computed"
 
 
 class InlineShardBackend:
@@ -176,25 +153,8 @@ class InlineShardBackend:
         # lock (the injector's session lock must never nest inside ours).
         if INJECTOR.armed:
             INJECTOR.fire(f"service.shard.{shard_id}")
-        service = self._services[shard_id]
-        before = self._cache_counters(service)
-        if op == "capacity":
-            value = float(service.max_clients(server, operand, buy_fraction=buy_fraction))
-        elif op == "mrt":
-            value = service.predict_mrt_ms(server, operand, buy_fraction=buy_fraction)
-        else:
-            value = service.predict_throughput(
-                server, operand, buy_fraction=buy_fraction
-            )
-        return value, _classify(before, self._cache_counters(service))
-
-    @staticmethod
-    def _cache_counters(service: PredictionService) -> dict[str, int]:
-        l2 = service.l2
-        return {
-            "l1_hits": service.cache.stats().hits,
-            "l2_hits": l2.stats().hits if l2 is not None else 0,
-        }
+        value, outcome = self._services[shard_id].serve(op, server, operand, buy_fraction)
+        return float(value), outcome
 
     def ping(self, shard_id: str) -> bool:
         """Heartbeat: False when killed, True otherwise."""

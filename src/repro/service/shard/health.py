@@ -1,8 +1,8 @@
-"""Per-shard health: heartbeats + error EWMA feeding circuit breakers.
+"""Per-shard health: request outcomes and heartbeats feeding circuit breakers.
 
 A shard can fail two ways the router must distinguish from a slow
 answer: its requests error (process died, injected brownout), or it
-stops answering heartbeats entirely.  Both feed the *existing*
+stops answering heartbeat pings.  Both feed the *existing*
 :class:`~repro.service.breaker.CircuitBreaker` — one per shard — so
 shard ejection inherits the breaker's whole state machine for free:
 
@@ -16,6 +16,9 @@ shard ejection inherits the breaker's whole state machine for free:
 * the breaker's EWMA health score is the per-shard leading indicator
   the merged cluster report publishes.
 
+A shard that is alive but not answering is caught by its requests'
+timeouts and by failed pings; there is no separate heartbeat-age check.
+
 Everything is clock-injected, so the chaos experiment drives ejection
 and recovery on a shared :class:`~repro.util.clock.FakeClock` and two
 runs produce byte-identical transition logs.
@@ -23,67 +26,33 @@ runs produce byte-identical transition logs.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.service.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.validation import require
 
-__all__ = ["HealthConfig", "HealthBoard"]
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Tunables of the per-shard health policy.
-
-    ``breaker`` parameterises each shard's circuit breaker (ejection
-    threshold, recovery probe timing); ``heartbeat_timeout_s`` is the
-    maximum heartbeat age before a shard is *presumed* dead even without
-    request failures (None disables the staleness check, which is right
-    for in-process backends whose requests fail fast anyway).
-    """
-
-    breaker: BreakerConfig = BreakerConfig(
-        failure_threshold=3, recovery_time_s=5.0, half_open_probes=1
-    )
-    heartbeat_timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        """Validate the policy."""
-        if self.heartbeat_timeout_s is not None:
-            require(
-                self.heartbeat_timeout_s > 0.0,
-                "heartbeat_timeout_s must be positive or None",
-            )
+__all__ = ["HealthBoard"]
 
 
 class HealthBoard:
     """Health accounting for a fixed set of shards.
 
-    Thread-safe: the board's own lock guards only the heartbeat table;
-    each shard's breaker carries its own lock, and the two are never
-    held together (REPRO-DEADLOCK001 discipline).
+    Thread-safe: the board holds no state of its own beyond the fixed
+    shard table; each shard's breaker carries its own lock.
     """
 
     def __init__(
         self,
         shard_ids: Iterable[str],
-        config: HealthConfig | None = None,
+        breaker: BreakerConfig,
         *,
         clock: Clock = SYSTEM_CLOCK,
     ):
-        self.config = config if config is not None else HealthConfig()
-        self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {
-            shard: CircuitBreaker(self.config.breaker, clock=clock)
-            for shard in shard_ids
+            shard: CircuitBreaker(breaker, clock=clock) for shard in shard_ids
         }
         require(len(self._breakers) > 0, "a health board needs at least one shard")
-        self._lock = threading.Lock()
-        now = clock.monotonic_s()
-        self._last_beat_s: dict[str, float] = {s: now for s in self._breakers}
 
     def shard_ids(self) -> tuple[str, ...]:
         """The shards this board tracks, sorted."""
@@ -103,16 +72,10 @@ class HealthBoard:
         configured probe budget.  An admitted call MUST be settled with
         :meth:`record_success` / :meth:`record_failure`.
         """
-        if self._stale(shard):
-            # A stale shard is treated as failing even before a request
-            # errors; feeding the breaker converts staleness into the
-            # same OPEN/probe/recovery cycle as request failures.
-            self._breakers[shard].record_failure()
         return self._breakers[shard].allow()
 
     def record_success(self, shard: str) -> None:
-        """Settle one admitted request as a success (also a heartbeat)."""
-        self.beat(shard)
+        """Settle one admitted request as a success."""
         self._breakers[shard].record_success()
 
     def record_failure(self, shard: str) -> None:
@@ -121,30 +84,14 @@ class HealthBoard:
 
     # -- heartbeats ------------------------------------------------------------
 
-    def beat(self, shard: str) -> None:
-        """Record a heartbeat from ``shard`` at the board clock's now."""
-        now = self._clock.monotonic_s()
-        with self._lock:
-            self._last_beat_s[shard] = now
-
-    def heartbeat_age_s(self, shard: str) -> float:
-        """Seconds since ``shard`` last heartbeat (0 at construction)."""
-        now = self._clock.monotonic_s()
-        with self._lock:
-            return now - self._last_beat_s[shard]
-
-    def _stale(self, shard: str) -> bool:
-        timeout = self.config.heartbeat_timeout_s
-        return timeout is not None and self.heartbeat_age_s(shard) > timeout
-
     def poll(self, backend: Any) -> dict[str, bool]:
         """Ping every shard through ``backend`` and feed the breakers.
 
-        Returns ``{shard: ping_ok}``.  A successful ping is a heartbeat
-        (not a breaker success — pings must not mask request failures);
-        a failed ping is recorded as a breaker failure, so a shard that
-        dies silently between requests still gets ejected after
-        ``failure_threshold`` polls.
+        Returns ``{shard: ping_ok}``.  A successful ping records nothing
+        (it is not a breaker success — pings must not mask request
+        failures); a failed ping is recorded as a breaker failure, so a
+        shard that dies silently between requests still gets ejected
+        after ``failure_threshold`` polls.
         """
         results: dict[str, bool] = {}
         for shard in self.shard_ids():
@@ -152,9 +99,7 @@ class HealthBoard:
                 ok = bool(backend.ping(shard))
             except Exception:
                 ok = False
-            if ok:
-                self.beat(shard)
-            else:
+            if not ok:
                 self._breakers[shard].record_failure()
             results[shard] = ok
         return results
@@ -162,28 +107,22 @@ class HealthBoard:
     # -- cluster views ---------------------------------------------------------
 
     def ejected(self) -> frozenset[str]:
-        """Shards currently off the ring (breaker OPEN or heartbeat stale).
+        """Shards currently off the ring (breaker OPEN).
 
         A shard whose breaker is due a recovery probe is *not* listed —
         the router must route its next owned request to it so
         :meth:`admit` can grant the probe; listing it here would starve
         recovery forever.
         """
-        out = set()
-        for shard, breaker in self._breakers.items():
-            if breaker.state is BreakerState.OPEN and not breaker.recovery_due:
-                out.add(shard)
-            elif self._stale(shard):
-                out.add(shard)
-        return frozenset(out)
+        return frozenset(
+            shard
+            for shard, breaker in self._breakers.items()
+            if breaker.state is BreakerState.OPEN and not breaker.recovery_due
+        )
 
     def snapshot(self) -> dict[str, dict[str, float | str]]:
-        """Per-shard ``{state, health, heartbeat_age_s}`` for reports."""
+        """Per-shard ``{state, health}`` for reports."""
         return {
-            shard: {
-                "state": breaker.state.value,
-                "health": breaker.health_score,
-                "heartbeat_age_s": self.heartbeat_age_s(shard),
-            }
+            shard: {"state": breaker.state.value, "health": breaker.health_score}
             for shard, breaker in sorted(self._breakers.items())
         }

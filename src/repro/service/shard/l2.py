@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Any, Callable, MutableMapping
 
@@ -68,10 +67,10 @@ class SharedL2Cache:
     * ``store`` maps :class:`~repro.service.cache.CacheKey` to
       ``(value, stored_at_s)`` tuples and may be shared by many
       accessors (threads or processes);
-    * ``lock`` guards compound read-modify-write sequences among the
-      accessors that share it; accessors in other processes do not, and
-      a race with them costs at most a refreshed entry (one extra miss),
-      never a wrong value;
+    * each accessor's own lock guards its compound read-modify-write
+      sequences; other accessors (threads with their own accessor, or
+      other processes) do not take it, and a race with them costs at
+      most a refreshed entry (one extra miss), never a wrong value;
     * ``clock`` supplies ``stored_at`` timestamps and ages, injectable
       so TTL behaviour is exactly testable (and deterministic under the
       sharded chaos experiment's :class:`~repro.util.clock.FakeClock`).
@@ -89,7 +88,6 @@ class SharedL2Cache:
         ttl_s: float | None = None,
         max_entries: int = 65_536,
         store: MutableMapping[Any, tuple[Any, float]] | None = None,
-        lock: AbstractContextManager | None = None,
         clock: Callable[[], float] | None = None,
     ):
         check_positive_int(max_entries, "max_entries")
@@ -100,9 +98,7 @@ class SharedL2Cache:
         self._store: MutableMapping[Any, tuple[Any, float]] = (
             store if store is not None else {}
         )
-        self._lock: AbstractContextManager = (
-            lock if lock is not None else threading.Lock()
-        )
+        self._lock = threading.Lock()
         self._clock = clock if clock is not None else time.monotonic
         # Local accounting only; never shared across accessors.
         self._stats_lock = threading.Lock()

@@ -29,50 +29,32 @@ health scores come from the board for the chaos recovery report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.prediction.interface import PredictionTimer
+from repro.service.breaker import BreakerConfig
 from repro.service.cache import quantize_key
-from repro.service.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
-from repro.service.shard.backend import OPERATIONS, ShardBackend, ShardError
-from repro.service.shard.health import HealthBoard, HealthConfig
+from repro.service.metrics import (
+    MetricsRegistry,
+    MetricsSnapshot,
+    merge_snapshots,
+    with_hit_rates,
+)
+from repro.service.service import OPERATIONS
+from repro.service.shard.backend import ShardBackend, ShardError
+from repro.service.shard.health import HealthBoard
 from repro.service.shard.ring import ConsistentHashRing, NoShardAvailableError, ring_key
 from repro.trace import TRACER
 from repro.util.clock import SYSTEM_CLOCK, Clock
 from repro.util.errors import ReproError
-from repro.util.validation import check_positive_int, require
+from repro.util.validation import require
 
-__all__ = ["ShardClusterError", "ShardConfig", "ServeInfo", "ShardedPredictionService"]
+__all__ = ["ShardClusterError", "ServeInfo", "ShardedPredictionService"]
 
 
 class ShardClusterError(ReproError):
     """Every candidate shard failed (or was ejected) for one request."""
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Tunables of one :class:`ShardedPredictionService`.
-
-    ``operand_step``/``buy_step`` must match the shard services' cache
-    grid — the router quantizes with them *before* hashing so that
-    routing preserves cache locality.  ``vnodes`` trades ring-balance
-    quality against membership-change cost; ``max_attempts`` bounds how
-    many ring successors one request may try before the cluster gives
-    up (None = every live shard).
-    """
-
-    operand_step: float = 1.0
-    buy_step: float = 0.01
-    vnodes: int = 64
-    max_attempts: int | None = None
-    health: HealthConfig = field(default_factory=HealthConfig)
-
-    def __post_init__(self) -> None:
-        """Validate the configuration."""
-        check_positive_int(self.vnodes, "vnodes")
-        if self.max_attempts is not None:
-            check_positive_int(self.max_attempts, "max_attempts")
 
 
 @dataclass(frozen=True)
@@ -81,12 +63,19 @@ class ServeInfo:
 
     value: float
     shard: str
-    outcome: str  # "l1_hit" | "l2_hit" | "computed" | "remote"
+    outcome: str  # "l1_hit" | "l2_hit" | "computed", as the shard reported it
     reroutes: int  # candidates tried before the serving shard answered
 
 
 class ShardedPredictionService:
     """Serve the ``Predictor`` protocol over a consistent-hashed fleet.
+
+    ``breaker`` is each shard's circuit-breaker policy; the default
+    ejects a shard after three consecutive failures and probes it again
+    after five seconds.  The router quantizes with the
+    shard services' default cache grid before hashing, so routing
+    preserves cache locality, and a request may try every live shard
+    before the cluster gives up.
 
     The router itself is thread-safe: the ring is mutated nowhere after
     construction (ejection is a *routing-time skip*, so a recovered
@@ -99,19 +88,18 @@ class ShardedPredictionService:
         self,
         backend: ShardBackend,
         *,
-        config: ShardConfig | None = None,
+        breaker: BreakerConfig = BreakerConfig(
+            failure_threshold=3, recovery_time_s=5.0, half_open_probes=1
+        ),
         clock: Clock = SYSTEM_CLOCK,
         name: str = "sharded_service",
     ):
         self.backend = backend
-        self.config = config or ShardConfig()
         self._clock = clock
         self.name = name
         self.timer = PredictionTimer()
-        self.ring = ConsistentHashRing(backend.shard_ids(), vnodes=self.config.vnodes)
-        self.health = HealthBoard(
-            backend.shard_ids(), self.config.health, clock=clock
-        )
+        self.ring = ConsistentHashRing(backend.shard_ids())
+        self.health = HealthBoard(backend.shard_ids(), breaker, clock=clock)
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._per_shard_served: dict[str, int] = {s: 0 for s in backend.shard_ids()}
@@ -151,23 +139,12 @@ class ShardedPredictionService:
         require(op in OPERATIONS, f"unknown operation {op!r}")
         start = self._clock.perf_s()
         self.metrics.counter("router.requests").inc()
-        key = quantize_key(
-            server,
-            op,
-            operand,
-            buy_fraction,
-            operand_step=self.config.operand_step,
-            buy_step=self.config.buy_step,
-        )
-        rkey = ring_key(key)
+        rkey = ring_key(quantize_key(server, op, operand, buy_fraction))
         attempts = 0
         last_error: Exception | None = None
-        limit = self.config.max_attempts or len(self.ring)
         try:
             with TRACER.span("shard.request", op=op, server=server) as span:
                 for shard in self.ring.iter_route(rkey, skip=self.health.ejected()):
-                    if attempts >= limit:
-                        break
                     attempts += 1
                     if not self.health.admit(shard):
                         self.metrics.counter("router.skipped").inc()
@@ -242,14 +219,7 @@ class ShardedPredictionService:
         Derived, non-additive values (cluster cache hit rate) are
         computed here from merged counters — never merged directly.
         """
-        out = self.snapshot().export()
-        requests = out.get("cache.requests", 0.0)
-        if requests:
-            out["cache.hit_rate"] = out.get("cache.hits", 0.0) / requests
-        l2_requests = out.get("l2.requests", 0.0)
-        if l2_requests:
-            out["l2.hit_rate"] = out.get("l2.hits", 0.0) / l2_requests
-        return out
+        return with_hit_rates(self.snapshot().export())
 
     def health_report(self) -> dict[str, Any]:
         """Per-shard health states plus the current ejection set."""

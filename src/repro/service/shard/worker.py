@@ -47,13 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.service.metrics import MetricsSnapshot
-from repro.service.shard.backend import (
-    OPERATIONS,
-    InlineShardBackend,
-    ShardDownError,
-    ShardRemoteError,
-    _classify,
-)
+from repro.service.service import OPERATIONS
+from repro.service.shard.backend import ShardDownError, ShardRemoteError
 from repro.service.shard.l2 import SharedL2Cache
 from repro.trace import TRACER, RingBufferSink
 from repro.util.clock import SYSTEM_CLOCK
@@ -69,15 +64,13 @@ class ShardSpec:
     ``factory`` is a ``"module.path:callable"`` reference resolved in
     the worker; it is called as ``factory(shard_id, **kwargs)`` and must
     return a :class:`~repro.service.service.PredictionService`.  The
-    worker attaches the shared L2 afterwards, so factories stay L2
-    agnostic.  ``l2_ttl_s``/``l2_max_entries`` parameterise the shared
-    store; ``trace=True`` arms worker-side span recording.
+    worker attaches the shared L2 afterwards (no TTL, the default
+    capacity), so factories stay L2 agnostic.  ``trace=True`` arms
+    worker-side span recording.
     """
 
     factory: str
     kwargs: dict[str, Any] = field(default_factory=dict)
-    l2_ttl_s: float | None = None
-    l2_max_entries: int = 65_536
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -112,13 +105,10 @@ def _answer(service, sink: RingBufferSink | None, verb: str, args: list) -> tupl
     if verb == "request":
         op, server, operand, buy_fraction = args
         try:
-            before = InlineShardBackend._cache_counters(service)
-            method = getattr(service, OPERATIONS[op])
-            value = float(method(server, operand, buy_fraction=buy_fraction))
-            outcome = _classify(before, InlineShardBackend._cache_counters(service))
+            value, outcome = service.serve(op, server, operand, buy_fraction)
+            return ("ok", float(value), outcome)
         except Exception as error:  # ship, don't crash the worker
             return ("error", type(error).__name__, str(error))
-        return ("ok", value, outcome)
     return ("error", "ProtocolError", f"unknown verb {verb!r}")
 
 
@@ -130,11 +120,7 @@ def _worker_main(spec: ShardSpec, shard_id: str, conn, l2_store) -> None:
         TRACER.enable(sink)
     service = resolve_factory(spec.factory)(shard_id, **spec.kwargs)
     if l2_store is not None:
-        service.l2 = SharedL2Cache(
-            ttl_s=spec.l2_ttl_s,
-            max_entries=spec.l2_max_entries,
-            store=l2_store,
-        )
+        service.l2 = SharedL2Cache(store=l2_store)
     try:
         while True:
             seq, verb, *args = conn.recv()

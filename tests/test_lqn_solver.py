@@ -190,6 +190,19 @@ class TestMaxClientsSearch:
         capacity, _ = solver.max_clients_for_goal(build, 0.001, class_name="browse")
         assert capacity == 0
 
+    @pytest.mark.parametrize("upper_bound", (64, 100, 1000))
+    def test_upper_bound_is_inclusive(self, upper_bound):
+        """When every load meets the goal, the bound itself is the capacity."""
+        solver = LqnSolver(SolverOptions(convergence_criterion_ms=1.0))
+
+        def build(n: int) -> LqnModel:
+            return build_trade_model(APP_SERV_F, typical_workload(n), PARAMS)
+
+        capacity, _ = solver.max_clients_for_goal(
+            build, 1e9, class_name="browse", upper_bound=upper_bound
+        )
+        assert capacity == upper_bound
+
 
 class TestAsyncAndPhase2:
     def _model(self, *, async_calls: bool = False, phase2: float = 0.0) -> LqnModel:

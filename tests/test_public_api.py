@@ -125,3 +125,14 @@ def test_runner_unknown_id_with_json_writes_nothing(tmp_path):
     with pytest.raises(SystemExit):
         main(["table2", "fig99", "--fast", "--json", str(out_dir)])
     assert not out_dir.exists()
+
+
+def test_results_digest_covers_every_runner_id():
+    """RESULTS.md has a section for every id ``runner --list`` prints."""
+    from pathlib import Path
+
+    from repro.experiments.runner import EXPERIMENTS
+
+    digest = (Path(__file__).resolve().parent.parent / "RESULTS.md").read_text()
+    missing = [i for i in EXPERIMENTS if f"*experiment id: `{i}`," not in digest]
+    assert missing == []

@@ -206,6 +206,13 @@ class TestCoalescingPool:
             # A later submission for the same key runs fresh.
             assert pool.submit("k", lambda: 2).result(timeout=5.0) == 2
 
+    def test_submit_after_shutdown_raises_and_leaves_nothing_in_flight(self):
+        pool = CoalescingPool(max_workers=1)
+        pool.shutdown()
+        with pytest.raises(RuntimeError):
+            pool.submit_or_join("k", lambda: 1)
+        assert pool.inflight_count() == 0
+
 
 class TestAdmission:
     def test_bounded_budget(self):

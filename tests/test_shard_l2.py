@@ -9,8 +9,6 @@ tested at the boundary, not near it.
 
 from __future__ import annotations
 
-import threading
-
 from repro.service.cache import quantize_key
 from repro.service.shard.l2 import SharedL2Cache
 from repro.util.clock import FakeClock
@@ -84,9 +82,8 @@ def test_shared_store_has_shared_values_and_local_stats() -> None:
     """Two accessors of one store see each other's values, not counters."""
     clock = FakeClock()
     store: dict = {}
-    lock = threading.Lock()
-    writer = SharedL2Cache(store=store, lock=lock, clock=clock.monotonic_s)
-    reader = SharedL2Cache(store=store, lock=lock, clock=clock.monotonic_s)
+    writer = SharedL2Cache(store=store, clock=clock.monotonic_s)
+    reader = SharedL2Cache(store=store, clock=clock.monotonic_s)
     writer.put(_key(5.0), 42.0)
     hit, value = reader.get(_key(5.0))
     assert hit and value == 42.0

@@ -13,11 +13,9 @@ from repro.service.breaker import BreakerConfig, BreakerState
 from repro.service.shard import (
     InlineShardBackend,
     ShardClusterError,
-    ShardConfig,
     ShardedPredictionService,
     SharedL2Cache,
 )
-from repro.service.shard.health import HealthConfig
 from repro.service.shard.testing import DeterministicStubPredictor, build_stub_service
 from repro.util.clock import FakeClock
 from repro.util.rng import spawn_rng
@@ -32,12 +30,8 @@ def _cluster(n_shards: int, clock: FakeClock, *, l2: SharedL2Cache | None = None
         return service
 
     backend = InlineShardBackend(tuple(f"s{i}" for i in range(n_shards)), factory)
-    config = ShardConfig(
-        health=HealthConfig(
-            breaker=BreakerConfig(failure_threshold=3, recovery_time_s=5.0)
-        )
-    )
-    return ShardedPredictionService(backend, config=config, clock=clock), backend
+    breaker = BreakerConfig(failure_threshold=3, recovery_time_s=5.0)
+    return ShardedPredictionService(backend, breaker=breaker, clock=clock), backend
 
 
 def test_values_agree_with_unsharded_stub_at_any_shard_count() -> None:
